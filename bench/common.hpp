@@ -354,6 +354,9 @@ class Session {
     e["negations_constant_time"] = es.total_negations_constant_time();
     e["cache_canonical_swaps"] = es.total_cache_canonical_swaps();
     e["gc_runs"] = es.total_gc_runs();
+    e["gc_reclaimed"] = es.total_gc_reclaimed();
+    e["nodes_created"] = es.total_nodes_created();
+    e["unique_lookups"] = es.total_unique_lookups();
     e["peak_live_nodes"] = peak;
     e["ref_underflows"] = es.total_ref_underflows();
     return c;

@@ -122,6 +122,36 @@ void BM_GarbageCollection(benchmark::State& state) {
   }
 }
 
+void BM_GcCycle(benchmark::State& state) {
+  // GC pause on a fixed live set with a populated computed cache. Nothing
+  // is garbage, so every iteration times mark, sweep, unique-table
+  // rebuild and cache invalidation alone, in ns per collection.
+  const std::size_t live_target = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kVars = 24;
+  Manager mgr(kVars);
+  std::mt19937_64 rng(5);
+  std::vector<Bdd> keep;
+  while (mgr.live_nodes() < live_target) {
+    Bdd cube = mgr.one();
+    for (int k = 0; k < 6; ++k) {
+      const Var v = static_cast<Var>(rng() % kVars);
+      cube = cube & ((rng() & 1) ? mgr.var(v) : mgr.nvar(v));
+    }
+    keep.push_back(keep.empty() ? cube : keep.back() ^ cube);
+  }
+  mgr.gc();
+  // Warm the cache; the results stay referenced so nothing is garbage.
+  std::vector<Bdd> warm;
+  for (std::size_t i = 1; i < keep.size(); ++i) {
+    warm.push_back(keep[i - 1] & keep[i]);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mgr.gc());
+  }
+  state.SetLabel(std::to_string(mgr.live_nodes()) + " live nodes, " +
+                 std::to_string(mgr.cache_slots()) + " cache slots");
+}
+
 /// Console reporter that additionally folds each benchmark's per-iteration
 /// real time into the session registry as gauge
 /// "gbench.<benchmark>.ns_per_op", so BENCH_bdd_ops.json carries the
@@ -231,6 +261,7 @@ BENCHMARK(BM_NegateDistinct)->Arg(64);
 BENCHMARK(BM_SatCount)->Arg(16)->Arg(32)->Arg(48);
 BENCHMARK(BM_BuildRandomDnf)->Arg(64)->Arg(256)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_GarbageCollection)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GcCycle)->Arg(1 << 12)->Arg(1 << 16);
 
 // Hand-rolled BENCHMARK_MAIN so the common flags (--metrics-json, --trace,
 // --jobs) work here too; everything unrecognized passes through to

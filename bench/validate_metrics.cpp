@@ -32,6 +32,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,12 @@ using dp::obs::JsonValue;
 namespace {
 
 int g_failures = 0;
+
+/// Kernel work gauges lifted into each record by suffix and totalled in
+/// the summary.
+constexpr const char* kKernelGauges[] = {
+    "negations_constant_time", "cache_canonical_swaps", "nodes_created",
+    "unique_lookups", "gc_reclaimed"};
 
 void fail(const std::string& file, const std::string& what) {
   std::cerr << "FAIL " << file << ": " << what << "\n";
@@ -421,12 +428,12 @@ JsonValue validate(const std::string& file) {
       }
     }
   }
-  // Complement-edge kernel gauges, summed across exporters (the DP
-  // engine's "dp." prefix, perf_bdd_ops's "bdd." prefix): O(1) negations
-  // and commutative cache canonicalization swaps.
+  // Kernel work gauges, summed across exporters (the DP engine's "dp."
+  // prefix, perf_bdd_ops's "bdd." prefix): O(1) negations, commutative
+  // cache canonicalization swaps, node allocation, unique-table probes
+  // and GC reclamation.
   if (const JsonValue* gauges = metrics->find("gauges")) {
-    for (const char* suffix :
-         {"negations_constant_time", "cache_canonical_swaps"}) {
+    for (const char* suffix : kKernelGauges) {
       double sum = 0.0;
       bool present = false;
       for (const auto& [key, value] : gauges->members()) {
@@ -586,7 +593,8 @@ int main(int argc, char** argv) {
   long long trace_spans = 0, trace_dropped = 0;
   long long served_requests = 0, served_ok = 0;
   long long ndetect_faults = 0, ndetect_detections = 0, ndetect_minted = 0;
-  double negations = 0.0, canonical_swaps = 0.0;
+  std::map<std::string, double> kernel_totals;
+  for (const char* key : kKernelGauges) kernel_totals[key] = 0.0;
   double peak_nodes = 0.0, frozen_nodes = 0.0, private_worker_max = 0.0;
   int perf_violations = 0;
   for (const std::string& file : files) {
@@ -632,11 +640,8 @@ int main(int argc, char** argv) {
     if (const JsonValue* v = rec.find("dp.gates_skipped")) {
       skipped += v->as_int();
     }
-    if (const JsonValue* v = rec.find("negations_constant_time")) {
-      negations += v->as_double();
-    }
-    if (const JsonValue* v = rec.find("cache_canonical_swaps")) {
-      canonical_swaps += v->as_double();
+    for (auto& [key, total] : kernel_totals) {
+      if (const JsonValue* v = rec.find(key)) total += v->as_double();
     }
     if (const JsonValue* v = rec.find("dp.peak_live_nodes")) {
       peak_nodes += v->as_double();
@@ -684,8 +689,7 @@ int main(int argc, char** argv) {
     totals["dp.faults_analyzed"] = faults;
     totals["dp.gates_evaluated"] = evaluated;
     totals["dp.gates_skipped"] = skipped;
-    totals["negations_constant_time"] = negations;
-    totals["cache_canonical_swaps"] = canonical_swaps;
+    for (const auto& [key, total] : kernel_totals) totals[key] = total;
     totals["dp.peak_live_nodes"] = peak_nodes;
     totals["dp.frozen_nodes"] = frozen_nodes;
     totals["dp.private_nodes_per_worker_max"] = private_worker_max;

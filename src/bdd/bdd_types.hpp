@@ -126,6 +126,9 @@ struct ManagerStats {
   /// Commutative operand pairs reordered (a <= b) before keying the
   /// computed cache; each swap is a collision class merged.
   std::uint64_t cache_canonical_swaps = 0;
+  /// Computed-cache size changes: doublings as the live set grows, and
+  /// right-sizings to the survivors at a collection.
+  std::uint64_t cache_resizes = 0;
 
   /// Computed-cache hits as a fraction of recursive operation entries.
   double cache_hit_rate() const {

@@ -176,12 +176,15 @@ class Manager : public obs::ProfileSource {
   /// Combined slot-space size: frozen prefix + private pool.
   std::size_t pool_size() const { return frozen_base_ + nodes_.size(); }
   std::size_t unique_bucket_count() const { return unique_.size(); }
+  /// Computed-cache slots (tracks live nodes, see gc()).
+  std::size_t cache_slots() const { return cache_.size(); }
   const ManagerStats& stats() const { return stats_; }
   void reset_stats() { stats_ = ManagerStats{}; }
 
   /// Publishes the manager's current state as live gauges named
   /// `<prefix>.<metric>`: node counts, GC activity, unique-table load
-  /// (live nodes per hash bucket), and the computed-cache hit rate.
+  /// (live nodes per hash bucket), and the computed-cache size and hit
+  /// rate.
   /// Snapshot values, not deltas -- call again to refresh.
   void export_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix = "bdd") const;

@@ -213,6 +213,13 @@ NodeIndex Manager::mk(Var v, NodeIndex lo_child, NodeIndex hi_child) {
   if (live_nodes_ > unique_.size()) {
     rehash_unique(unique_.size() * 2);
   }
+  // The computed cache tracks the live set the same way, keeping its
+  // entries across the doubling.
+  if (live_nodes_ > cache_.size() &&
+      cache_.size() < ComputedCache::kMaxSlots) {
+    cache_.grow();
+    ++stats_.cache_resizes;
+  }
   return make_edge(idx, out_c);
 }
 
@@ -367,14 +374,17 @@ std::size_t Manager::gc() {
   stats_.gc_reclaimed += reclaimed;
 
   // Caches may reference dead nodes; the unique table must drop them.
-  // Scale the computed cache with the surviving working set (capped) --
-  // a cache much smaller than the pool thrashes on collisions.
-  std::size_t want_cache = next_pow2(live_nodes_);
-  want_cache = std::min<std::size_t>(want_cache, 1u << 22);
-  if (want_cache > cache_.size()) {
-    cache_.resize(want_cache);
+  // The computed cache is right-sized to the survivors -- large enough
+  // not to thrash, small enough to stay in CPU cache -- and otherwise
+  // invalidated in O(1); mk() grows it again as the live set grows.
+  const std::size_t want_cache =
+      std::clamp(next_pow2(live_nodes_), ComputedCache::kMinSlots,
+                 ComputedCache::kMaxSlots);
+  if (want_cache != cache_.size()) {
+    cache_.reset(want_cache);
+    ++stats_.cache_resizes;
   } else {
-    cache_.clear();
+    cache_.invalidate();
   }
   rehash_unique(unique_.size());
 

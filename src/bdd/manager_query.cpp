@@ -164,6 +164,8 @@ void Manager::export_metrics(obs::MetricsRegistry& registry,
                     : static_cast<double>(live_nodes_) /
                           static_cast<double>(unique_.size()));
   g("unique_lookups", static_cast<double>(stats_.unique_lookups));
+  g("cache_slots", static_cast<double>(cache_.size()));
+  g("cache_resizes", static_cast<double>(stats_.cache_resizes));
   g("apply_calls", static_cast<double>(stats_.apply_calls));
   g("cache_hits", static_cast<double>(stats_.cache_hits));
   g("cache_hit_rate", stats_.cache_hit_rate());

@@ -136,10 +136,11 @@ void Manager::swap_adjacent_levels(std::size_t level) {
   std::swap(level_of_var_[u], level_of_var_[w]);
 
   // Labels and children changed: rebuild the unique table. Cached results
-  // still denote the same functions (edges are stable), but drop them
-  // for hygiene -- reordering already dwarfs a cache refill.
+  // still denote the same functions (edges are stable), so keeping them
+  // would be correct; they are dropped anyway so that no entry outlives
+  // the order it was computed under. The epoch bump makes that O(1).
   rehash_unique(unique_.size());
-  cache_.clear();
+  cache_.invalidate();
 }
 
 void Manager::sift_one_var(Var v, double max_growth) {

@@ -40,6 +40,14 @@ std::string human_count(std::uint64_t n) {
   return os.str();
 }
 
+/// Sum of one per-worker counter across the pool.
+std::uint64_t sum_over(const std::vector<WorkerStats>& workers,
+                       std::uint64_t WorkerStats::*field) {
+  std::uint64_t n = 0;
+  for (const WorkerStats& w : workers) n += w.*field;
+  return n;
+}
+
 /// Nearest-rank quantile; reorders `v` in place. 0.0 when empty.
 double quantile_of(std::vector<double>& v, double q) {
   if (v.empty()) return 0.0;
@@ -64,51 +72,47 @@ double ParallelStats::faults_per_second() const {
 }
 
 std::uint64_t ParallelStats::total_gates_evaluated() const {
-  std::uint64_t n = 0;
-  for (const WorkerStats& w : workers) n += w.gates_evaluated;
-  return n;
+  return sum_over(workers, &WorkerStats::gates_evaluated);
 }
 
 std::uint64_t ParallelStats::total_gates_skipped() const {
-  std::uint64_t n = 0;
-  for (const WorkerStats& w : workers) n += w.gates_skipped;
-  return n;
+  return sum_over(workers, &WorkerStats::gates_skipped);
 }
 
 std::uint64_t ParallelStats::total_gc_runs() const {
-  std::uint64_t n = 0;
-  for (const WorkerStats& w : workers) n += w.gc_runs;
-  return n;
+  return sum_over(workers, &WorkerStats::gc_runs);
+}
+
+std::uint64_t ParallelStats::total_gc_reclaimed() const {
+  return sum_over(workers, &WorkerStats::gc_reclaimed);
 }
 
 std::uint64_t ParallelStats::total_apply_calls() const {
-  std::uint64_t n = 0;
-  for (const WorkerStats& w : workers) n += w.apply_calls;
-  return n;
+  return sum_over(workers, &WorkerStats::apply_calls);
 }
 
 std::uint64_t ParallelStats::total_cache_hits() const {
-  std::uint64_t n = 0;
-  for (const WorkerStats& w : workers) n += w.cache_hits;
-  return n;
+  return sum_over(workers, &WorkerStats::cache_hits);
+}
+
+std::uint64_t ParallelStats::total_nodes_created() const {
+  return sum_over(workers, &WorkerStats::nodes_created);
+}
+
+std::uint64_t ParallelStats::total_unique_lookups() const {
+  return sum_over(workers, &WorkerStats::unique_lookups);
 }
 
 std::uint64_t ParallelStats::total_negations_constant_time() const {
-  std::uint64_t n = 0;
-  for (const WorkerStats& w : workers) n += w.negations_constant_time;
-  return n;
+  return sum_over(workers, &WorkerStats::negations_constant_time);
 }
 
 std::uint64_t ParallelStats::total_cache_canonical_swaps() const {
-  std::uint64_t n = 0;
-  for (const WorkerStats& w : workers) n += w.cache_canonical_swaps;
-  return n;
+  return sum_over(workers, &WorkerStats::cache_canonical_swaps);
 }
 
 std::uint64_t ParallelStats::total_ref_underflows() const {
-  std::uint64_t n = 0;
-  for (const WorkerStats& w : workers) n += w.ref_underflows;
-  return n;
+  return sum_over(workers, &WorkerStats::ref_underflows);
 }
 
 double ParallelStats::cache_hit_rate() const {
@@ -153,8 +157,11 @@ void ParallelStats::merge(const ParallelStats& other) {
     w.live_nodes = o.live_nodes;  // end-of-sweep gauge: latest wins
     w.peak_live_nodes = std::max(w.peak_live_nodes, o.peak_live_nodes);
     w.gc_runs += o.gc_runs;
+    w.gc_reclaimed += o.gc_reclaimed;
     w.apply_calls += o.apply_calls;
     w.cache_hits += o.cache_hits;
+    w.nodes_created += o.nodes_created;
+    w.unique_lookups += o.unique_lookups;
     w.negations_constant_time += o.negations_constant_time;
     w.cache_canonical_swaps += o.cache_canonical_swaps;
     w.ref_underflows += o.ref_underflows;
@@ -235,6 +242,12 @@ void ParallelStats::export_metrics(obs::MetricsRegistry& registry,
       .add(static_cast<double>(total_cache_canonical_swaps()));
   registry.gauge(prefix + ".gc_runs")
       .add(static_cast<double>(total_gc_runs()));
+  registry.gauge(prefix + ".gc_reclaimed")
+      .add(static_cast<double>(total_gc_reclaimed()));
+  registry.gauge(prefix + ".nodes_created")
+      .add(static_cast<double>(total_nodes_created()));
+  registry.gauge(prefix + ".unique_lookups")
+      .add(static_cast<double>(total_unique_lookups()));
   registry.gauge(prefix + ".ref_underflows")
       .add(static_cast<double>(total_ref_underflows()));
 
@@ -445,8 +458,11 @@ void ParallelEngine::run(const std::vector<Fault>& faults,
     }
     const bdd::ManagerStats after = w.manager->stats();
     ws.gc_runs = after.gc_runs - before.gc_runs;
+    ws.gc_reclaimed = after.gc_reclaimed - before.gc_reclaimed;
     ws.apply_calls = after.apply_calls - before.apply_calls;
     ws.cache_hits = after.cache_hits - before.cache_hits;
+    ws.nodes_created = after.nodes_created - before.nodes_created;
+    ws.unique_lookups = after.unique_lookups - before.unique_lookups;
     ws.negations_constant_time =
         after.negations_constant_time - before.negations_constant_time;
     ws.cache_canonical_swaps =

@@ -52,8 +52,11 @@ struct WorkerStats {
   std::size_t live_nodes = 0;       ///< manager gauge after the sweep
   std::size_t peak_live_nodes = 0;  ///< manager high-water mark
   std::uint64_t gc_runs = 0;
+  std::uint64_t gc_reclaimed = 0;
   std::uint64_t apply_calls = 0;
   std::uint64_t cache_hits = 0;
+  std::uint64_t nodes_created = 0;
+  std::uint64_t unique_lookups = 0;
   std::uint64_t negations_constant_time = 0;
   std::uint64_t cache_canonical_swaps = 0;
   std::uint64_t ref_underflows = 0;
@@ -82,8 +85,11 @@ struct ParallelStats {
   std::uint64_t total_gates_evaluated() const;
   std::uint64_t total_gates_skipped() const;
   std::uint64_t total_gc_runs() const;
+  std::uint64_t total_gc_reclaimed() const;
   std::uint64_t total_apply_calls() const;
   std::uint64_t total_cache_hits() const;
+  std::uint64_t total_nodes_created() const;
+  std::uint64_t total_unique_lookups() const;
   std::uint64_t total_negations_constant_time() const;
   std::uint64_t total_cache_canonical_swaps() const;
   std::uint64_t total_ref_underflows() const;

@@ -9,6 +9,7 @@
 
 #include "bdd/bdd.hpp"
 #include "bdd/dot_export.hpp"
+#include "bdd/frozen_forest.hpp"
 
 namespace dp::bdd {
 namespace {
@@ -284,6 +285,50 @@ TEST(BddMemoryTest, StatsAccumulate) {
   (void)f;
   EXPECT_GT(mgr.stats().apply_calls, 0u);
   EXPECT_GT(mgr.stats().nodes_created, 0u);
+}
+
+// ---- computed-cache sizing and invalidation --------------------------------
+
+TEST(BddCacheTest, FreshManagersStartAtTheMinimumSize) {
+  Manager standalone(8);
+  EXPECT_EQ(standalone.cache_slots(), 4096u);
+  obs::MetricsRegistry registry;
+  standalone.export_metrics(registry);
+  EXPECT_EQ(registry.gauge("bdd.cache_slots").value(), 4096.0);
+  EXPECT_EQ(registry.gauge("bdd.cache_resizes").value(), 0.0);
+
+  Bdd f = (standalone.var(0) & standalone.var(1)) ^ standalone.var(2);
+  const auto forest = standalone.freeze({f.index()});
+  Manager adopting(forest);
+  EXPECT_EQ(adopting.cache_slots(), 4096u);
+}
+
+TEST(BddCacheTest, EntriesSurviveGrowthAndGcRightSizes) {
+  // var() goes through mk() but never through the cache, so the nodes it
+  // creates grow the table without touching any entry.
+  constexpr std::size_t kManyVars = 4200;
+  Manager mgr(kManyVars);
+  Bdd f = mgr.var(0) ^ mgr.var(1);
+  Bdd g = mgr.var(1) & mgr.var(2);
+  Bdd fg = f & g;
+  ASSERT_EQ(mgr.cache_slots(), 4096u);
+  ASSERT_EQ(mgr.stats().cache_resizes, 0u);
+
+  for (Var v = 3; mgr.live_nodes() <= 4096; ++v) (void)mgr.var(v);
+  EXPECT_EQ(mgr.cache_slots(), 8192u);
+  EXPECT_EQ(mgr.stats().cache_resizes, 1u);
+
+  // The repeat is one top-level call answered from the grown table.
+  const ManagerStats before = mgr.stats();
+  EXPECT_EQ(f & g, fg);
+  EXPECT_EQ(mgr.stats().apply_calls, before.apply_calls + 1);
+  EXPECT_EQ(mgr.stats().cache_hits, before.cache_hits + 1);
+
+  // The var nodes were never held: after the collection the survivors fit
+  // the minimum size again.
+  mgr.gc();
+  EXPECT_EQ(mgr.cache_slots(), 4096u);
+  EXPECT_EQ(mgr.stats().cache_resizes, 2u);
 }
 
 // ---- randomized truth-table cross-checks ---------------------------------

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -153,6 +154,161 @@ TEST(GcStressTest, PressureCollectionsPreserveRootsAndCaches) {
   EXPECT_GT(rounds_done, 50u);
   EXPECT_GT(mgr.stats().gc_runs, 0u);
   EXPECT_EQ(mgr.stats().ref_underflows, 0u);
+}
+
+/// True when `f` agrees with `expect` on every assignment of `vars` (all
+/// other variables 0); `expect` sees the assignment indexed by Var. A
+/// stale cache hit can return an edge into a freed slot, which eval()
+/// rejects; that counts as disagreement too.
+template <typename Fn>
+bool agrees(const Bdd& f, std::size_t nvars, const std::vector<Var>& vars,
+            Fn expect) {
+  std::vector<bool> point(nvars, false);
+  for (std::uint64_t bits = 0; bits < (1ull << vars.size()); ++bits) {
+    for (std::size_t i = 0; i < vars.size(); ++i) {
+      point[vars[i]] = (bits >> i) & 1;
+    }
+    try {
+      if (f.eval(point) != expect(point)) return false;
+    } catch (const BddError&) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(GcStressTest, ReusedSlotNeverHitsAStaleEntry) {
+  // A collection frees u's slot and the next allocation refills it with a
+  // different function: the (And, x0, u) entry must not answer for it.
+  Manager mgr(4);
+  const Bdd x0 = mgr.var(0), x2 = mgr.var(2), x3 = mgr.var(3);
+  // Two garbage nodes, collected: the free list then hands out its highest
+  // slot first, so u below lands above r and is the first slot reused.
+  (void)(x0 & x2);
+  (void)(x0 & x3);
+  mgr.gc();
+
+  NodeIndex u_edge = kInvalidNode;
+  {
+    Bdd u = x2 ^ x3;
+    Bdd r = x0 & u;  // cached under (And, x0, u)
+    u_edge = u.index();
+  }
+  mgr.gc();
+  Bdd u2 = x2 | x3;
+  ASSERT_EQ(u2.index(), u_edge) << "setup: the freed slot was not reused";
+
+  // Same key, different function: the lookup must miss.
+  const std::uint64_t hits = mgr.stats().cache_hits;
+  Bdd r2 = x0 & u2;
+  EXPECT_EQ(mgr.stats().cache_hits, hits);
+  EXPECT_TRUE(agrees(r2, 4, {0, 2, 3}, [](const std::vector<bool>& p) {
+    return p[0] && (p[2] || p[3]);
+  }));
+}
+
+TEST(GcStressTest, EpochWrapNeverRevivesStaleEntries) {
+  // Every gc() invalidates the computed cache by bumping a 16-bit epoch,
+  // and the table is wiped when the epoch wraps (a cycle of 65535
+  // collections). This runs more collections than that. Between them a
+  // cached AND and XOR take an operand u whose slot each collection
+  // frees and the next iteration refills with the other of two functions,
+  // so any stale hit returns the wrong function. Probe entries written
+  // once are re-asked exactly one cycle later (anchor x0) and one
+  // collection after that (anchor x1), with their operand slots then
+  // holding different functions: without the wipe at the wrap those
+  // entries would look current again.
+  constexpr std::size_t kN = 12;
+  constexpr std::size_t kCycle = 65535;
+  Manager mgr(kN);
+  std::vector<Bdd> x;
+  for (Var v = 0; v < kN; ++v) x.push_back(mgr.var(v));
+
+  // Collected garbage so the pool never grows again: after every later
+  // collection only the variables are live and the free list is the same,
+  // so an identical allocation sequence lands on identical slots.
+  for (Var a = 0; a < kN; ++a) {
+    for (Var b = a + 1; b < kN; ++b) (void)(x[a] & x[b]);
+  }
+  mgr.gc();
+
+  std::vector<std::pair<Var, Var>> pairs;
+  for (Var a = 6; a < kN; ++a) {
+    for (Var b = a + 1; b < kN; ++b) pairs.emplace_back(a, b);
+  }
+  // Builds x_a ^ x_b (or x_a | x_b) for every pair, in order.
+  auto probes = [&](bool use_or) {
+    std::vector<Bdd> p;
+    for (const auto& [a, b] : pairs) {
+      p.push_back(use_or ? (x[a] | x[b]) : (x[a] ^ x[b]));
+    }
+    return p;
+  };
+  std::vector<NodeIndex> probe_edges;
+  {
+    const std::vector<Bdd> p = probes(false);
+    for (std::size_t j = 0; j < p.size(); ++j) {
+      probe_edges.push_back(p[j].index());
+      for (const Var anchor : {Var{0}, Var{1}}) {
+        const Bdd r = x[anchor] & p[j];
+        const auto [a, b] = pairs[j];
+        ASSERT_TRUE(agrees(r, kN, {anchor, a, b},
+                           [&](const std::vector<bool>& pt) {
+                             return pt[anchor] && (pt[a] != pt[b]);
+                           }));
+      }
+    }
+  }
+  mgr.gc();
+
+  // Re-asks anchor & probe with every probe slot now holding x_a | x_b.
+  auto check_probes = [&](Var anchor) {
+    const std::vector<Bdd> p = probes(true);
+    for (std::size_t j = 0; j < p.size(); ++j) {
+      ASSERT_EQ(p[j].index(), probe_edges[j])
+          << "setup: probe slot " << j << " was not reused";
+      const Bdd r = x[anchor] & p[j];
+      const auto [a, b] = pairs[j];
+      ASSERT_TRUE(agrees(r, kN, {anchor, a, b},
+                         [&](const std::vector<bool>& pt) {
+                           return pt[anchor] && (pt[a] || pt[b]);
+                         }))
+          << "stale probe entry " << j << " for anchor x" << anchor;
+    }
+  };
+
+  std::size_t reused = 0;
+  NodeIndex prev_u = kInvalidNode;
+  for (std::size_t i = 1; i <= kCycle + 1; ++i) {
+    if (i == kCycle) check_probes(0);
+    if (i == kCycle + 1) check_probes(1);
+    if (HasFatalFailure()) return;
+    {
+      const bool use_or = i % 2 == 1;
+      const Bdd u = use_or ? (x[2] | x[3]) : (x[2] ^ x[3]);
+      reused += u.index() == prev_u;
+      prev_u = u.index();
+      const Bdd conj = x[4] & u;
+      const Bdd parity = x[5] ^ u;
+      auto u_at = [&](const std::vector<bool>& p) {
+        return use_or ? (p[2] || p[3]) : (p[2] != p[3]);
+      };
+      ASSERT_TRUE(agrees(conj, kN, {2, 3, 4},
+                         [&](const std::vector<bool>& p) {
+                           return p[4] && u_at(p);
+                         }))
+          << "stale AND after collection " << i;
+      ASSERT_TRUE(agrees(parity, kN, {2, 3, 5},
+                         [&](const std::vector<bool>& p) {
+                           return p[5] != u_at(p);
+                         }))
+          << "stale XOR after collection " << i;
+    }
+    mgr.gc();
+  }
+  EXPECT_GT(mgr.stats().gc_runs, kCycle + 1);
+  // Nearly every iteration refilled the same slot with the other function.
+  EXPECT_GT(reused, kCycle - 4);
 }
 
 TEST(GcStressTest, DoubleReleaseClampsAndStaysCollectable) {

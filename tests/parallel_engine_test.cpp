@@ -199,6 +199,9 @@ TEST(ParallelEngineTest, StatsAreCoherent) {
     EXPECT_GE(w.max_fault_seconds, 0.0);
     EXPECT_GT(w.build_seconds, 0.0);
     EXPECT_GT(w.apply_calls, 0u);
+    EXPECT_GT(w.nodes_created, 0u);
+    // Every node is created after a unique-table probe that missed.
+    EXPECT_GE(w.unique_lookups, w.nodes_created);
     EXPECT_EQ(w.ref_underflows, 0u);
   }
   EXPECT_EQ(total, faults.size());
@@ -206,6 +209,22 @@ TEST(ParallelEngineTest, StatsAreCoherent) {
   EXPECT_GT(st.total_apply_calls(), 0u);
   EXPECT_GE(st.cache_hit_rate(), 0.0);
   EXPECT_LE(st.cache_hit_rate(), 1.0);
+
+  obs::MetricsRegistry reg;
+  st.export_metrics(reg);
+  EXPECT_EQ(reg.gauge("dp.nodes_created").value(),
+            static_cast<double>(st.total_nodes_created()));
+  EXPECT_EQ(reg.gauge("dp.unique_lookups").value(),
+            static_cast<double>(st.total_unique_lookups()));
+  EXPECT_EQ(reg.gauge("dp.gc_reclaimed").value(),
+            static_cast<double>(st.total_gc_reclaimed()));
+
+  // A batched sweep folds into one aggregate: the deltas sum.
+  ParallelStats twice = st;
+  twice.merge(st);
+  EXPECT_EQ(twice.total_nodes_created(), 2 * st.total_nodes_created());
+  EXPECT_EQ(twice.total_unique_lookups(), 2 * st.total_unique_lookups());
+  EXPECT_EQ(twice.total_gc_reclaimed(), 2 * st.total_gc_reclaimed());
 }
 
 TEST(ParallelEngineTest, ExportedCountersMatchSerialExactly) {
