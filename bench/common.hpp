@@ -4,17 +4,17 @@
 //
 //   --jobs N            fault-parallel workers (0 = all hardware threads)
 //   --metrics-json PATH write a dp.metrics.v1 JSON document on exit
-//   --trace             keep a per-fault event trace (embedded in the JSON)
-//   --trace-out PATH    record hierarchical spans + profiler samples and
-//                       write a dp.trace.v1 document (also loadable in
-//                       Perfetto / chrome://tracing) on exit
+//   --trace-out PATH    record hierarchical spans (one dp.fault span per
+//                       analyzed fault) + profiler samples and write a
+//                       dp.trace.v1 document (also loadable in Perfetto /
+//                       chrome://tracing) on exit
 //   --cache-dir PATH    content-addressed artifact cache: completed
 //                       profiles are served without rebuilding BDDs, and
 //                       interrupted sweeps resume from their last batch
 //
-// Unknown flags and flags missing their value are hard errors (usage on
-// stderr, exit 2) -- a typo must never silently run the default
-// configuration for an hour.
+// Unknown flags, flags missing their value and malformed DP_BENCH_JOBS /
+// DP_BENCH_BF_COUNT values are hard errors (usage on stderr, exit 2) -- a
+// typo must never silently run the default configuration for an hour.
 #pragma once
 
 #include <chrono>
@@ -30,9 +30,7 @@
 #include "netlist/generators.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
-#include "obs/span.hpp"
-#include "obs/trace.hpp"
+#include "obs/trace_session.hpp"
 #include "store/artifact_store.hpp"
 
 namespace dp::bench {
@@ -54,7 +52,6 @@ struct CommonArgs {
   std::string metrics_json;
   std::string trace_out;  ///< --trace-out or DP_BENCH_TRACE_DIR
   std::string cache_dir;  ///< --cache-dir or DP_BENCH_CACHE_DIR
-  bool trace = false;
   bool jobs_set = false;  ///< --jobs or DP_BENCH_JOBS was given
   /// Unrecognized argv entries, kept only in passthrough mode (the
   /// google-benchmark benches forward these to benchmark::Initialize).
@@ -64,15 +61,13 @@ struct CommonArgs {
 inline void print_usage(std::ostream& os, const char* prog,
                         bool passthrough) {
   os << "usage: " << (prog && *prog ? prog : "bench")
-     << " [--jobs N] [--metrics-json PATH] [--trace] [--trace-out PATH]\n"
+     << " [--jobs N] [--metrics-json PATH] [--trace-out PATH]\n"
         "            [--cache-dir PATH]";
   if (passthrough) os << " [benchmark flags...]";
   os << "\n"
         "  --jobs N            fault-parallel workers; 0 = all hardware "
         "threads, 1 = serial\n"
         "  --metrics-json PATH write a dp.metrics.v1 JSON document on exit\n"
-        "  --trace             record per-fault trace events into the JSON "
-        "document\n"
         "  --trace-out PATH    write a dp.trace.v1 span/profile document "
         "(Perfetto-loadable)\n"
         "  --cache-dir PATH    artifact cache: reuse completed profiles, "
@@ -91,19 +86,6 @@ inline void print_usage(std::ostream& os, const char* prog,
 inline CommonArgs parse_common_args(int argc, char** argv,
                                     bool passthrough = false) {
   CommonArgs args;
-  args.options.sampling.target_count = 1000;
-  if (const char* env = std::getenv("DP_BENCH_BF_COUNT")) {
-    args.options.sampling.target_count =
-        static_cast<std::size_t>(std::atoll(env));
-  }
-  if (const char* env = std::getenv("DP_BENCH_JOBS")) {
-    args.options.jobs = static_cast<std::size_t>(std::atoll(env));
-    args.jobs_set = true;
-  }
-  if (const char* env = std::getenv("DP_BENCH_CACHE_DIR")) {
-    args.cache_dir = env;
-  }
-
   const char* prog = argc > 0 ? argv[0] : nullptr;
   auto fail = [&](const std::string& message) {
     std::cerr << "error: " << message << "\n";
@@ -120,6 +102,18 @@ inline CommonArgs parse_common_args(int argc, char** argv,
     return static_cast<std::size_t>(v);
   };
 
+  args.options.sampling.target_count = 1000;
+  if (const char* env = std::getenv("DP_BENCH_BF_COUNT")) {
+    args.options.sampling.target_count = parse_count("DP_BENCH_BF_COUNT", env);
+  }
+  if (const char* env = std::getenv("DP_BENCH_JOBS")) {
+    args.options.jobs = parse_count("DP_BENCH_JOBS", env);
+    args.jobs_set = true;
+  }
+  if (const char* env = std::getenv("DP_BENCH_CACHE_DIR")) {
+    args.cache_dir = env;
+  }
+
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto value_of = [&]() -> const char* {
@@ -135,8 +129,6 @@ inline CommonArgs parse_common_args(int argc, char** argv,
       args.trace_out = value_of();
     } else if (a == "--cache-dir") {
       args.cache_dir = value_of();
-    } else if (a == "--trace") {
-      args.trace = true;
     } else if (a == "--help" || a == "-h") {
       print_usage(std::cout, prog, passthrough);
       std::exit(0);
@@ -163,16 +155,14 @@ inline void shape_check(bool ok, const std::string& what) {
 }
 
 /// One bench run: parses the shared flags, owns the metrics registry and
-/// (optional) trace buffer, times phases, folds every analyzed circuit's
+/// (optional) trace session, times phases, folds every analyzed circuit's
 /// engine stats into the registry, and writes the JSON document on
 /// destruction when --metrics-json (or DP_BENCH_METRICS_DIR) asked for
 /// one. Document shape:
 ///
 ///   { "bench": "<id>", "schema": "dp.metrics.v1", "jobs": N,
 ///     "metrics": { counters, gauges, timers, histograms },
-///     "circuits": [ { circuit, gates, inputs, outputs, faults, ... } ],
-///     "trace": { ... }            // only with --trace
-///   }
+///     "circuits": [ { circuit, gates, inputs, outputs, faults, ... } ] }
 class Session {
  public:
   /// `id` names the output document (BENCH_<id>.json under
@@ -195,18 +185,11 @@ class Session {
         args_.trace_out = std::string(dir) + "/TRACE_" + id_ + ".json";
       }
     }
-    if (args_.trace) {
-      trace_ = std::make_unique<obs::TraceBuffer>(1u << 16);
-      args_.options.dp.trace = trace_.get();
-    }
     if (!args_.trace_out.empty()) {
-      // Install the collector process-wide so the engines' instrumentation
-      // points find it via SpanCollector::current() -- no plumbing through
-      // the analysis call chain.
-      spans_ = std::make_unique<obs::SpanCollector>();
-      obs::SpanCollector::install(spans_.get());
-      profiler_ = std::make_unique<obs::SamplingProfiler>();
-      profiler_->start();
+      // The session installs its collector process-wide, so the engines'
+      // instrumentation points find it via SpanCollector::current() -- no
+      // plumbing through the analysis call chain.
+      trace_ = std::make_unique<obs::TraceSession>(args_.trace_out);
     }
     if (!args_.cache_dir.empty()) {
       store_ = std::make_unique<store::ArtifactStore>(
@@ -221,8 +204,6 @@ class Session {
   /// Mutable so a bench can tweak sampling/collapse before the sweep.
   analysis::AnalysisOptions& options() { return args_.options; }
   obs::MetricsRegistry& metrics() { return metrics_; }
-  /// Non-null only with --trace.
-  obs::TraceBuffer* trace() { return trace_.get(); }
   /// Non-null only with --cache-dir / DP_BENCH_CACHE_DIR (already wired
   /// into options().persistence).
   store::ArtifactStore* store() { return store_.get(); }
@@ -237,8 +218,9 @@ class Session {
   /// "phase.<name>" and -- when --trace-out is active -- as a span of the
   /// same name, so the phase shows up on the trace timeline too.
   obs::ScopedTimer phase(const std::string& name) {
-    return obs::ScopedTimer(metrics_.timer("phase." + name),
-                            obs::ScopedSpan(spans_.get(), "phase." + name));
+    return obs::ScopedTimer(
+        metrics_.timer("phase." + name),
+        obs::ScopedSpan(trace_ ? &trace_->spans() : nullptr, "phase." + name));
   }
 
   /// Folds one analyzed circuit into the document: engine stats into the
@@ -277,24 +259,8 @@ class Session {
                             .count();
     metrics_.timer("phase.total").record(wall);
 
-    bool ok = true;
-    if (spans_) {
-      if (obs::SpanCollector::current() == spans_.get()) {
-        obs::SpanCollector::install(nullptr);
-      }
-      profiler_->stop();
-      obs::JsonValue tdoc = obs::make_trace_document(
-          "bench", id_, args_.options.jobs, *spans_, profiler_->to_json(),
-          wall);
-      std::string error;
-      if (!obs::write_json_file_atomic(args_.trace_out, tdoc, &error)) {
-        std::cerr << "[trace] FAILED to write " << args_.trace_out << ": "
-                  << error << "\n";
-        ok = false;
-      } else {
-        std::cout << "[trace] wrote " << args_.trace_out << "\n";
-      }
-    }
+    const bool ok =
+        !trace_ || trace_->finish("bench", id_, args_.options.jobs, wall);
     if (args_.metrics_json.empty()) return ok;
 
     obs::JsonValue doc = obs::JsonValue::object();
@@ -308,7 +274,6 @@ class Session {
       cache["dir"] = store_->dir();
       cache["bytes"] = store_->size_bytes();
     }
-    if (trace_) doc["trace"] = trace_->to_json();
 
     // Atomic rename: a bench killed mid-write leaves the previous
     // document (or nothing), never a torn half-file.
@@ -365,9 +330,7 @@ class Session {
   std::string id_;
   detail::CommonArgs args_;
   obs::MetricsRegistry metrics_;
-  std::unique_ptr<obs::TraceBuffer> trace_;
-  std::unique_ptr<obs::SpanCollector> spans_;
-  std::unique_ptr<obs::SamplingProfiler> profiler_;
+  std::unique_ptr<obs::TraceSession> trace_;
   std::unique_ptr<store::ArtifactStore> store_;
   obs::JsonValue circuits_;
   std::chrono::steady_clock::time_point start_;

@@ -263,10 +263,10 @@ BENCHMARK(BM_BuildRandomDnf)->Arg(64)->Arg(256)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_GarbageCollection)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_GcCycle)->Arg(1 << 12)->Arg(1 << 16);
 
-// Hand-rolled BENCHMARK_MAIN so the common flags (--metrics-json, --trace,
-// --jobs) work here too; everything unrecognized passes through to
-// google-benchmark untouched. Document id "bdd_ops" -> BENCH_bdd_ops.json
-// under DP_BENCH_METRICS_DIR.
+// Hand-rolled BENCHMARK_MAIN so the common flags (--metrics-json,
+// --trace-out, --jobs) work here too; everything unrecognized passes
+// through to google-benchmark untouched. Document id "bdd_ops" ->
+// BENCH_bdd_ops.json under DP_BENCH_METRICS_DIR.
 int main(int argc, char** argv) {
   dp::bench::Session session("bdd_ops", argc, argv,
                              /*passthrough_unknown=*/true);
@@ -277,7 +277,7 @@ int main(int argc, char** argv) {
   int bench_argc = static_cast<int>(args.size());
   ::benchmark::Initialize(&bench_argc, args.data());
   if (::benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {
-    return 1;
+    return 2;  // an unknown flag is a usage error, as in every bench
   }
   {
     dp::obs::ScopedTimer timer = session.phase("benchmarks");

@@ -79,9 +79,9 @@ BENCHMARK(BM_ExhaustiveSimulation)->DenseRange(0, 6)->Unit(benchmark::kMicroseco
 BENCHMARK(BM_DifferencePropagation)->DenseRange(0, 6)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_DifferencePropagationLarge)->DenseRange(0, 1)->Unit(benchmark::kMicrosecond);
 
-// Hand-rolled BENCHMARK_MAIN so the common flags (--metrics-json, --trace,
-// --jobs) work here too; everything unrecognized passes through to
-// google-benchmark untouched.
+// Hand-rolled BENCHMARK_MAIN so the common flags (--metrics-json,
+// --trace-out, --jobs) work here too; everything unrecognized passes
+// through to google-benchmark untouched.
 int main(int argc, char** argv) {
   bench::Session session("perf_dp_vs_exhaustive", argc, argv,
                          /*passthrough_unknown=*/true);
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   int bench_argc = static_cast<int>(args.size());
   ::benchmark::Initialize(&bench_argc, args.data());
   if (::benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {
-    return 1;
+    return 2;  // an unknown flag is a usage error, as in every bench
   }
   obs::ScopedTimer timer = session.phase("benchmarks");
   const std::size_t run = ::benchmark::RunSpecifiedBenchmarks();

@@ -6,7 +6,7 @@
 // producing unreadable telemetry. A fuzz report additionally fails
 // validation outright when it records any discrepancy — a red fuzz
 // campaign must never pass the smoke tier just because its JSON was
-// well-formed. Dropped trace events/spans (ring-buffer wrap) surface in
+// well-formed. Dropped trace spans (ring-buffer wrap) surface in
 // the summary totals and fail the run under --strict — a smoke tier must
 // never silently report partial attribution as complete.
 //
@@ -405,17 +405,6 @@ JsonValue validate(const std::string& file) {
       if (const JsonValue* c = counters->find(key)) rec[key] = *c;
     }
   }
-  // An embedded --trace event buffer carries its own drop counter; lift
-  // it into the record so the summary's drop accounting covers both the
-  // per-fault trace ring and the span rings.
-  if (const JsonValue* trace = doc.find("trace")) {
-    if (const JsonValue* dropped = trace->find("dropped")) {
-      rec["trace.dropped"] = *dropped;
-    }
-    if (const JsonValue* recorded = trace->find("recorded")) {
-      rec["trace.spans"] = *recorded;
-    }
-  }
   // Shared-forest footprint gauges (exact keys): whole-engine peak live
   // nodes, the frozen universe size, and the largest per-worker private
   // pool. Lifted so the summary totals expose the memory story the
@@ -666,7 +655,7 @@ int main(int argc, char** argv) {
   }
 
   if (trace_dropped > 0) {
-    std::cerr << trace_dropped << " trace event(s)/span(s) dropped to ring "
+    std::cerr << trace_dropped << " trace span(s) dropped to ring "
               << "wrap across " << files.size() << " file(s)"
               << (strict ? "" : " (warning only; pass --strict to fail)")
               << "\n";

@@ -7,7 +7,7 @@
 //   $ ./atpg_tool             # defaults to c95
 //   $ ./atpg_tool c432
 //   $ ./atpg_tool c432 --jobs 4   # fault-parallel analysis sweep
-//   $ ./atpg_tool c432 --metrics-json atpg.json --trace
+//   $ ./atpg_tool c432 --metrics-json atpg.json --trace-out trace.json
 //   $ ./atpg_tool c432 --cache-dir .dpcache
 //       # first run serializes the per-fault test-set forest; a warm
 //       # rerun loads it and skips BDD construction and DP entirely
@@ -26,6 +26,7 @@
 //       # document (validated by bench/validate_metrics).
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -53,13 +54,16 @@ constexpr std::uint64_t kPrefilterSeed = 0x5eedb10cull;
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// The function-try-block turns load and analysis failures (a missing
+// .bench file, a node budget overrun) into a message and exit 1.
+int main(int argc, char** argv) try {
   std::vector<std::string> args(argv + 1, argv + argc);
   cli::handle_version_flag(args, "atpg_tool");
   cli::Telemetry tel;
   tel.strip_flags(args);
 
   std::string arg = "c95";
+  bool circuit_given = false;
   std::size_t jobs = 1;
   bool hybrid = false;
   std::size_t prefilter_patterns = 1024;
@@ -89,8 +93,12 @@ int main(int argc, char** argv) {
       ndetect_json = args[++i];
     } else if (args[i] == "--hybrid") {
       hybrid = true;
-    } else {
+    } else if (!circuit_given && args[i][0] != '-') {
       arg = args[i];
+      circuit_given = true;
+    } else {
+      std::cerr << "error: unexpected argument '" << args[i] << "'\n";
+      return 2;
     }
   }
   const auto& names = netlist::benchmark_names();
@@ -196,7 +204,6 @@ int main(int argc, char** argv) {
     // flexible ones.
     core::ParallelEngine::Options popt;
     popt.jobs = jobs;
-    popt.dp.trace = tel.trace();
     engine.emplace(circuit, structure, popt);
     std::vector<core::FaultAnalysis> analyses = engine->analyze_all(dp_faults);
     engine->stats().export_metrics(tel.metrics());
@@ -349,4 +356,7 @@ int main(int argc, char** argv) {
   if (engine) std::cout << "\n" << engine->stats();
   const bool wrote = tel.write("atpg_tool");
   return ok && wrote ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "atpg_tool: " << e.what() << "\n";
+  return 1;
 }

@@ -1,17 +1,17 @@
 // Shared telemetry and persistence flags for the example CLIs:
-// `--metrics-json PATH`, `--trace`, `--trace-out PATH`, `--cache-dir
-// PATH`, and `--resume`/`--no-resume` behave identically across dpcli,
+// `--metrics-json PATH`, `--trace-out PATH`, `--cache-dir PATH`, and
+// `--resume`/`--no-resume` behave identically across dpcli,
 // testability_report and atpg_tool. The written document mirrors the
 // bench schema (dp.metrics.v1) so one validator handles both:
 //
 //   { "tool": "<name>", "command": "<subcommand>",   // command optional
 //     "schema": "dp.metrics.v1",
-//     "metrics": { counters, gauges, timers, histograms },
-//     "trace": { ... } }                             // only with --trace
+//     "metrics": { counters, gauges, timers, histograms } }
 //
-// `--trace-out PATH` additionally records hierarchical spans plus
-// sampling-profiler gauge series and writes a separate dp.trace.v1
-// document (Perfetto / chrome://tracing loadable) beside the run.
+// `--trace-out PATH` records hierarchical spans (one dp.fault span per
+// analyzed fault) plus sampling-profiler gauge series and writes a
+// separate dp.trace.v1 document (Perfetto / chrome://tracing loadable)
+// beside the run.
 #pragma once
 
 #include <cstdlib>
@@ -22,9 +22,7 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
-#include "obs/span.hpp"
-#include "obs/trace.hpp"
+#include "obs/trace_session.hpp"
 #include "store/artifact_store.hpp"
 
 namespace dp::cli {
@@ -67,18 +65,19 @@ inline std::size_t parse_count(const std::string& flag,
   return static_cast<std::size_t>(v);
 }
 
-/// Owns the metrics registry and the optional trace buffer for one CLI
+/// Owns the metrics registry and the optional trace session for one CLI
 /// invocation. strip_flags() removes the telemetry flags from argv before
 /// the tool's own positional parsing; write() emits the JSON document.
 class Telemetry {
  public:
   /// Removes the shared flags from `args`, exiting 2 when a flag that
   /// needs a value is the final token (a missing value must not be
-  /// swallowed as a path). Handled: `--metrics-json PATH`, `--trace`,
-  /// `--trace-out PATH` (installs the span collector and starts the
-  /// sampling profiler), `--cache-dir PATH` (opens the artifact store),
-  /// `--resume` / `--no-resume` (checkpoint consumption; on by default).
+  /// swallowed as a path). Handled: `--metrics-json PATH`,
+  /// `--trace-out PATH` (starts an obs::TraceSession), `--cache-dir PATH`
+  /// (opens the artifact store), `--resume` / `--no-resume` (checkpoint
+  /// consumption; on by default).
   void strip_flags(std::vector<std::string>& args) {
+    std::string trace_out;
     auto take_value = [&](std::size_t i) -> std::string {
       if (i + 1 >= args.size()) {
         std::cerr << "error: " << args[i] << " requires a value\n";
@@ -93,12 +92,9 @@ class Telemetry {
       if (args[i] == "--metrics-json") {
         path_ = take_value(i);
       } else if (args[i] == "--trace-out") {
-        trace_out_ = take_value(i);
+        trace_out = take_value(i);
       } else if (args[i] == "--cache-dir") {
         cache_dir_ = take_value(i);
-      } else if (args[i] == "--trace") {
-        if (!buffer_) buffer_ = std::make_unique<obs::TraceBuffer>(1u << 16);
-        args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
       } else if (args[i] == "--resume" || args[i] == "--no-resume") {
         resume_ = args[i] == "--resume";
         args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
@@ -110,17 +106,12 @@ class Telemetry {
       store_ = std::make_unique<store::ArtifactStore>(
           cache_dir_, store::ArtifactStore::Options{}, &metrics_);
     }
-    if (!trace_out_.empty()) {
-      spans_ = std::make_unique<obs::SpanCollector>();
-      obs::SpanCollector::install(spans_.get());
-      profiler_ = std::make_unique<obs::SamplingProfiler>();
-      profiler_->start();
+    if (!trace_out.empty()) {
+      trace_ = std::make_unique<obs::TraceSession>(trace_out);
     }
   }
 
   obs::MetricsRegistry& metrics() { return metrics_; }
-  /// Non-null only with --trace; wire into DifferencePropagator options.
-  obs::TraceBuffer* trace() { return buffer_.get(); }
   /// Non-null only with --cache-dir; wire into
   /// AnalysisOptions::persistence (or use directly for forest caching).
   store::ArtifactStore* store() { return store_.get(); }
@@ -130,39 +121,20 @@ class Telemetry {
   /// The raw --cache-dir value (empty when absent), for tools that
   /// construct their own store on the directory (dpserved's Service).
   const std::string& cache_dir() const { return cache_dir_; }
-  bool requested() const { return !path_.empty(); }
-  /// Non-null only with --trace-out (already installed process-wide).
-  obs::SpanCollector* spans() { return spans_.get(); }
 
   /// Writes the document when --metrics-json was given. Returns false
   /// only when a requested write failed (callers fold that into their
   /// exit code so scripts notice the missing file).
   bool write(const std::string& tool, const std::string& command = "") {
-    bool ok = true;
-    if (spans_) {
-      if (obs::SpanCollector::current() == spans_.get()) {
-        obs::SpanCollector::install(nullptr);
-      }
-      profiler_->stop();
-      obs::JsonValue tdoc = obs::make_trace_document(
-          "tool", tool, /*jobs=*/0, *spans_, profiler_->to_json(),
-          spans_->elapsed_seconds());
-      std::string error;
-      if (!obs::write_json_file_atomic(trace_out_, tdoc, &error)) {
-        std::cerr << "[trace] FAILED to write " << trace_out_ << ": "
-                  << error << "\n";
-        ok = false;
-      } else {
-        std::cout << "[trace] wrote " << trace_out_ << "\n";
-      }
-    }
+    const bool ok =
+        !trace_ || trace_->finish("tool", tool, /*jobs=*/0,
+                                  trace_->spans().elapsed_seconds());
     if (path_.empty()) return ok;
     obs::JsonValue doc = obs::JsonValue::object();
     doc["tool"] = tool;
     if (!command.empty()) doc["command"] = command;
     doc["schema"] = "dp.metrics.v1";
     doc["metrics"] = metrics_.to_json();
-    if (buffer_) doc["trace"] = buffer_->to_json();
     std::string error;
     if (!obs::write_json_file_atomic(path_, doc, &error)) {
       std::cerr << "[metrics] FAILED to write " << path_ << ": " << error
@@ -175,13 +147,10 @@ class Telemetry {
 
  private:
   std::string path_;
-  std::string trace_out_;
   std::string cache_dir_;
   bool resume_ = true;
   obs::MetricsRegistry metrics_;
-  std::unique_ptr<obs::TraceBuffer> buffer_;
-  std::unique_ptr<obs::SpanCollector> spans_;
-  std::unique_ptr<obs::SamplingProfiler> profiler_;
+  std::unique_ptr<obs::TraceSession> trace_;
   std::unique_ptr<store::ArtifactStore> store_;
 };
 

@@ -53,7 +53,8 @@ int usage() {
          "  (C = benchmark name or .bench path; sa and bf take --jobs N)\n"
          "  sa also takes --hybrid [--prefilter-patterns N]: random-pattern\n"
          "  prefilter first, exact DP only on the undetected remainder\n"
-         "  global: --metrics-json PATH (dp.metrics.v1 document), --trace,\n"
+         "  global: --metrics-json PATH (dp.metrics.v1 document),\n"
+         "          --trace-out PATH (dp.trace.v1 spans, one per fault),\n"
          "          --cache-dir PATH (artifact cache), --resume/--no-resume\n";
   return 2;
 }
@@ -100,7 +101,6 @@ int cmd_sa_hybrid(const netlist::Circuit& c, bool full, std::size_t jobs,
   analysis::AnalysisOptions opt;
   opt.collapse = !full;
   opt.jobs = jobs;
-  opt.dp.trace = tel.trace();
   analysis::HybridOptions hopt;
   hopt.prefilter_patterns = prefilter_patterns;
   const analysis::HybridProfile p = analysis::analyze_stuck_at_hybrid(c, opt, hopt);
@@ -127,7 +127,6 @@ int cmd_sa(const netlist::Circuit& c, bool full, std::size_t jobs,
   analysis::AnalysisOptions opt;
   opt.collapse = !full;
   opt.jobs = jobs;
-  opt.dp.trace = tel.trace();
   opt.persistence.store = tel.store();
   opt.persistence.resume = tel.resume();
   const analysis::CircuitProfile p = analysis::analyze_stuck_at(c, opt);
@@ -159,7 +158,6 @@ int cmd_bf(const netlist::Circuit& c, std::size_t count, std::size_t jobs,
   analysis::AnalysisOptions opt;
   opt.sampling.target_count = count;
   opt.jobs = jobs;
-  opt.dp.trace = tel.trace();
   opt.persistence.store = tel.store();
   opt.persistence.resume = tel.resume();
   analysis::TextTable t({"type", "faults", "detectable", "mean det",
@@ -196,9 +194,7 @@ int cmd_fault(const netlist::Circuit& c, const std::string& net,
   netlist::Structure st(c);
   bdd::Manager mgr(0);
   core::GoodFunctions good(mgr, c);
-  core::DifferencePropagator::Options dpo;
-  dpo.trace = tel.trace();
-  core::DifferencePropagator dp(good, st, dpo);
+  core::DifferencePropagator dp(good, st);
   const fault::StuckAtFault f{*id, std::nullopt, value == "1"};
   const core::FaultAnalysis a = dp.analyze(f);
   mgr.export_metrics(tel.metrics());
@@ -275,9 +271,7 @@ int cmd_atpg(const netlist::Circuit& c, cli::Telemetry& tel) {
   netlist::Structure st(c);
   bdd::Manager mgr(0);
   core::GoodFunctions good(mgr, c);
-  core::DifferencePropagator::Options dpo;
-  dpo.trace = tel.trace();
-  core::DifferencePropagator dp(good, st, dpo);
+  core::DifferencePropagator dp(good, st);
   sim::FaultSimulator fs(c);
 
   const auto faults = fault::collapse_checkpoint_faults(c);
@@ -310,9 +304,7 @@ int cmd_diagnose(const netlist::Circuit& c, const std::string& net,
   netlist::Structure st(c);
   bdd::Manager mgr(0);
   core::GoodFunctions good(mgr, c);
-  core::DifferencePropagator::Options dpo;
-  dpo.trace = tel.trace();
-  core::DifferencePropagator dp(good, st, dpo);
+  core::DifferencePropagator dp(good, st);
   sim::FaultSimulator fs(c);
 
   // Dictionary over a compact ATPG vector set.
@@ -384,46 +376,69 @@ struct HybridFlags {
 
 int dispatch(const std::vector<std::string>& args, std::size_t jobs,
              const HybridFlags& hybrid, cli::Telemetry& tel) {
+  // Every token must be one the command consumes: an unknown flag or a
+  // stray trailing token is a usage error, so a typo like `sa c17 --ful`
+  // never runs the default configuration.
+  for (const std::string& a : args) {
+    if (a.rfind("--", 0) == 0 && a != "--full" && a != "--count" &&
+        a != "--hash") {
+      std::cerr << "error: unexpected argument '" << a << "'\n";
+      return usage();
+    }
+  }
   const std::string cmd = args[0];
-  if (cmd == "list") return cmd_list();
   // `dpcli <circuit> --hash`: flag form of the hash command.
   if (args.size() == 2 && args[1] == "--hash") {
     return cmd_hash(load(args[0]));
   }
-  if (args.size() < 2) return usage();
+
+  std::size_t arity = 2;  // command + circuit
+  bool full = false;
+  std::size_t count = 1000;
+  if (cmd == "list") {
+    arity = 1;
+  } else if (cmd == "sa" && args.size() > 2 && args[2] == "--full") {
+    full = true;
+    arity = 3;
+  } else if (cmd == "bf" && args.size() > 2 && args[2] == "--count") {
+    if (args.size() < 4) {
+      std::cerr << "error: --count requires a value\n";
+      return 2;
+    }
+    count = cli::parse_count("--count", args[3]);
+    arity = 4;
+  } else if (cmd == "fault" || cmd == "diagnose") {
+    arity = 4;
+  } else if (cmd == "dot") {
+    arity = 3;
+  }
+  if (args.size() > arity) {
+    std::cerr << "error: unexpected argument '" << args[arity] << "'\n";
+    return usage();
+  }
+  if (args.size() < arity) return usage();
+  if (cmd == "list") return cmd_list();
   const netlist::Circuit circuit = load(args[1]);
 
   if (cmd == "hash") return cmd_hash(circuit);
-
   if (cmd == "info") return cmd_info(circuit);
   if (cmd == "sa") {
-    const bool full = args.size() > 2 && args[2] == "--full";
     if (hybrid.enabled) {
       return cmd_sa_hybrid(circuit, full, jobs, hybrid.prefilter_patterns,
                            tel);
     }
     return cmd_sa(circuit, full, jobs, tel);
   }
-  if (cmd == "bf") {
-    std::size_t count = 1000;
-    if (args.size() > 3 && args[2] == "--count") {
-      count = cli::parse_count("--count", args[3]);
-    }
-    return cmd_bf(circuit, count, jobs, tel);
-  }
-  if (cmd == "fault" && args.size() == 4) {
-    return cmd_fault(circuit, args[2], args[3], tel);
-  }
-  if (cmd == "diagnose" && args.size() == 4) {
-    return cmd_diagnose(circuit, args[2], args[3], tel);
-  }
+  if (cmd == "bf") return cmd_bf(circuit, count, jobs, tel);
+  if (cmd == "fault") return cmd_fault(circuit, args[2], args[3], tel);
+  if (cmd == "diagnose") return cmd_diagnose(circuit, args[2], args[3], tel);
   if (cmd == "syndrome") return cmd_syndrome(circuit, tel);
   if (cmd == "atpg") return cmd_atpg(circuit, tel);
   if (cmd == "write") {
     netlist::write_bench(std::cout, circuit);
     return 0;
   }
-  if (cmd == "dot" && args.size() == 3) return cmd_dot(circuit, args[2]);
+  if (cmd == "dot") return cmd_dot(circuit, args[2]);
   return usage();
 }
 

@@ -7,7 +7,9 @@
 //   $ ./testability_report path/to.bench  # or an ISCAS-85 netlist file
 //   $ ./testability_report c432 --jobs 4  # fault-parallel sweep
 //                                         # (bit-identical to serial)
-//   $ ./testability_report c432 --metrics-json report.json --trace
+//   $ ./testability_report c432 --metrics-json report.json
+//   $ ./testability_report c432 --trace-out trace.json
+//                                         # dp.trace.v1 spans (dptrace)
 //   $ ./testability_report c432 --cache-dir .dpcache
 //                                         # reuse a cached profile /
 //                                         # resume an interrupted sweep
@@ -23,6 +25,7 @@
 //                                         # the DP satcounts
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <set>
 #include <string>
@@ -138,13 +141,16 @@ bool print_ndetect_resistance(const netlist::Circuit& circuit,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// The function-try-block turns load and analysis failures (a missing
+// .bench file, a node budget overrun) into a message and exit 1.
+int main(int argc, char** argv) try {
   std::vector<std::string> args(argv + 1, argv + argc);
   cli::handle_version_flag(args, "testability_report");
   cli::Telemetry tel;
   tel.strip_flags(args);
 
   std::string arg = "alu181";
+  bool circuit_given = false;
   analysis::AnalysisOptions opt;
   bool hybrid = false;
   analysis::HybridOptions hopt;
@@ -170,11 +176,14 @@ int main(int argc, char** argv) {
       }
     } else if (args[i] == "--hybrid") {
       hybrid = true;
-    } else {
+    } else if (!circuit_given && args[i][0] != '-') {
       arg = args[i];
+      circuit_given = true;
+    } else {
+      std::cerr << "error: unexpected argument '" << args[i] << "'\n";
+      return 2;
     }
   }
-  opt.dp.trace = tel.trace();
   opt.persistence.store = tel.store();
   opt.persistence.resume = tel.resume();
   netlist::Circuit circuit = load(arg);
@@ -290,4 +299,7 @@ int main(int argc, char** argv) {
   // Always shown (even serial) so refcount underflows can never hide.
   std::cout << "\n" << p.engine_stats;
   return tel.write("testability_report") && ndetect_ok ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "testability_report: " << e.what() << "\n";
+  return 1;
 }

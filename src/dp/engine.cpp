@@ -14,17 +14,6 @@ DifferencePropagator::DifferencePropagator(const GoodFunctions& good,
                                            Options options)
     : good_(good), structure_(structure), options_(options) {}
 
-void DifferencePropagator::trace_fault(std::string label,
-                                       std::size_t seed_sites,
-                                       const FaultAnalysis& out) const {
-  if (!options_.trace) return;
-  options_.trace->record(obs::TraceKind::Fault, std::move(label),
-                         static_cast<std::int64_t>(out.stats.gates_evaluated),
-                         static_cast<std::int64_t>(out.stats.gates_skipped),
-                         static_cast<std::int64_t>(seed_sites),
-                         static_cast<std::int64_t>(out.pos_observable));
-}
-
 PropagationStats DifferencePropagator::propagate(std::vector<bdd::Bdd>& diff,
                                                  const PinSeed* pin_seed) const {
   const Circuit& c = good_.circuit();
@@ -184,7 +173,6 @@ FaultAnalysis DifferencePropagator::analyze(
 
   PropagationStats st = propagate_multi(diff, pins, nets);
   FaultAnalysis out = finish(diff, site_nets, upper, st);
-  trace_fault(fault::describe(fault, c), site_nets.size(), out);
   if (span.enabled()) {
     span.attr("site", fault::describe(fault, c));
     int po_distance = 0;
@@ -195,6 +183,8 @@ FaultAnalysis DifferencePropagator::analyze(
     span.attr("gates_evaluated", out.stats.gates_evaluated);
     span.attr("gates_skipped", out.stats.gates_skipped);
     span.attr("detectable", out.detectable ? 1 : 0);
+    span.attr("seed_sites", site_nets.size());
+    span.attr("pos_observable", out.pos_observable);
   }
   return out;
 }
@@ -263,7 +253,6 @@ FaultAnalysis DifferencePropagator::analyze(
   // fault lives on the fanout branch of `fault.net`, not on the fed gate's
   // output, so pos_fed counts the POs the stem feeds.
   FaultAnalysis out = finish(diff, {fault.net}, upper, st);
-  trace_fault(fault::describe(fault, c), 1, out);
   if (span.enabled()) {
     span.attr("site", fault::describe(fault, c));
     span.attr("branch", fault.branch ? 1 : 0);
@@ -271,6 +260,8 @@ FaultAnalysis DifferencePropagator::analyze(
     span.attr("gates_evaluated", out.stats.gates_evaluated);
     span.attr("gates_skipped", out.stats.gates_skipped);
     span.attr("detectable", out.detectable ? 1 : 0);
+    span.attr("seed_sites", 1);
+    span.attr("pos_observable", out.pos_observable);
   }
   return out;
 }
@@ -299,7 +290,6 @@ FaultAnalysis DifferencePropagator::analyze(
   PropagationStats st = propagate(diff, nullptr);
   FaultAnalysis out = finish(diff, {fault.a, fault.b}, upper, st);
   out.bridge_stuck_at = wired.is_constant();
-  trace_fault(fault::describe(fault, c), 2, out);
   if (span.enabled()) {
     span.attr("site", fault::describe(fault, c));
     span.attr("po_distance", std::max(structure_.max_levels_to_po(fault.a),
@@ -307,6 +297,8 @@ FaultAnalysis DifferencePropagator::analyze(
     span.attr("gates_evaluated", out.stats.gates_evaluated);
     span.attr("gates_skipped", out.stats.gates_skipped);
     span.attr("detectable", out.detectable ? 1 : 0);
+    span.attr("seed_sites", 2);
+    span.attr("pos_observable", out.pos_observable);
   }
   (void)mgr;
   return out;

@@ -6,7 +6,9 @@
 // while difference information exists ("selective trace"). The OR of the
 // PO differences IS the complete test set of the fault; from it and the
 // line syndromes come the exact detectability, the excitation upper bound,
-// and the adherence (paper §4.1, eq. 3).
+// and the adherence (paper §4.1, eq. 3). With a span collector installed,
+// every analyze() records one "dp.fault" span carrying the per-fault
+// summary (DESIGN.md §9.2).
 #pragma once
 
 #include <cstdint>
@@ -18,7 +20,6 @@
 #include "fault/multiple.hpp"
 #include "fault/stuck_at.hpp"
 #include "netlist/structure.hpp"
-#include "obs/trace.hpp"
 
 namespace dp::core {
 
@@ -57,11 +58,6 @@ class DifferencePropagator {
     /// When false, every gate in the circuit is evaluated for every fault
     /// (the ablation baseline for the selective-trace optimization).
     bool selective_trace = true;
-    /// When set, every analyze() call records one TraceKind::Fault event
-    /// (gates evaluated/skipped, seed sites, POs observable). The buffer
-    /// is thread-safe, so parallel workers may share one instance. Not
-    /// owned; must outlive the propagator.
-    obs::TraceBuffer* trace = nullptr;
   };
 
   DifferencePropagator(const GoodFunctions& good,
@@ -107,11 +103,6 @@ class DifferencePropagator {
   FaultAnalysis finish(std::vector<bdd::Bdd>& diff,
                        const std::vector<netlist::NetId>& site_nets,
                        double upper_bound, PropagationStats stats) const;
-
-  /// Records one TraceKind::Fault event when options_.trace is set
-  /// (no-op otherwise). `seed_sites` = number of Δ-seed injection sites.
-  void trace_fault(std::string label, std::size_t seed_sites,
-                   const FaultAnalysis& out) const;
 
   const GoodFunctions& good_;
   const netlist::Structure& structure_;

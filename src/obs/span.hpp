@@ -12,8 +12,8 @@
 //      the exporter at snapshot time, so workers never serialize on each
 //      other (lock-free in effect on the hot path).
 //   3. Bounded memory. Rings are fixed-capacity; when one wraps, the
-//      oldest spans on that thread are dropped and counted, mirroring
-//      TraceBuffer's drop accounting.
+//      oldest spans on that thread are dropped and counted, and the
+//      count travels with the exported document.
 //
 // Parenting: each thread keeps a stack of open span ids, so nested
 // ScopedSpans parent automatically. A span that logically belongs under
@@ -22,10 +22,16 @@
 // stack. Moving a ScopedSpan across threads is not supported (the open
 // stack is thread-local); moving within a thread is.
 //
+// Spans are the only per-fault trace: every DifferencePropagator::analyze
+// records one "dp.fault" span whose attributes carry the paper's
+// per-fault observations (site, gates evaluated/skipped by selective
+// trace, Δ-seed sites, POs observable, PO distance, detectability).
+//
 // Export: dp.trace.v1 (make_trace_document) embeds the merged spans plus
 // an optional profiler section, and mirrors every span into a Chrome
 // trace-event array ("traceEvents", ph "X"/"C"/"M") so the same file
-// loads directly in about:tracing and ui.perfetto.dev.
+// loads directly in about:tracing and ui.perfetto.dev. TraceSession
+// (obs/trace_session.hpp) runs the whole `--trace-out` lifecycle.
 #pragma once
 
 #include <atomic>

@@ -56,15 +56,28 @@ bool opt_bool(const JsonValue& obj, const char* key, bool fallback) {
   return v->as_bool();
 }
 
+/// Only an integer literal qualifies: 2.5 must not truncate to 2, and a
+/// value the parser kept as a double (1e300, or beyond 2^63) never reaches
+/// the float-to-int cast in as_int().
 std::uint64_t opt_u64(const JsonValue& obj, const char* key,
                       std::uint64_t fallback) {
   const JsonValue* v = obj.find(key);
   if (!v) return fallback;
-  if (!v->is_number() || v->as_int() < 0) {
+  if (v->kind() != JsonValue::Kind::Int || v->as_int() < 0) {
     throw BadRequest(std::string("option '") + key +
                      "' must be a non-negative integer");
   }
   return static_cast<std::uint64_t>(v->as_int());
+}
+
+/// A request's worker count, capped at the hardware threads: each job is
+/// one thread plus one BDD manager, and results are identical for any
+/// count, so a larger request only costs memory.
+std::size_t opt_jobs(const JsonValue& obj, std::size_t fallback) {
+  const std::size_t hardware =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return std::min<std::size_t>(
+      static_cast<std::size_t>(opt_u64(obj, "jobs", fallback)), hardware);
 }
 
 double opt_double(const JsonValue& obj, const char* key, double fallback) {
@@ -322,7 +335,7 @@ JsonValue Service::handle_analyze(long long id, const JsonValue& request) {
 
   analysis::AnalysisOptions a;
   a.collapse = opt_bool(opts, "collapse", true);
-  a.jobs = static_cast<std::size_t>(opt_u64(opts, "jobs", options_.jobs));
+  a.jobs = opt_jobs(opts, options_.jobs);
   a.sampling.target_count = static_cast<std::size_t>(
       opt_u64(opts, "bridge_count", a.sampling.target_count));
   a.sampling.theta = opt_double(opts, "bridge_theta", a.sampling.theta);
@@ -404,8 +417,7 @@ JsonValue Service::handle_ndetect(long long id, const JsonValue& request) {
       circuit_for(request, &circuit_key);
 
   const std::size_t n = static_cast<std::size_t>(opt_u64(opts, "n", 1));
-  const std::size_t jobs =
-      static_cast<std::size_t>(opt_u64(opts, "jobs", options_.jobs));
+  const std::size_t jobs = opt_jobs(opts, options_.jobs);
   const bool topup = opt_bool(opts, "topup", true);
   const bool collapse = opt_bool(opts, "collapse", true);
   std::vector<std::vector<bool>> vectors =

@@ -55,7 +55,8 @@ namespace dp::serve {
 
 struct ServiceOptions {
   /// Default engine worker count for requests that do not send
-  /// options.jobs (fault-partition sharding inside one request).
+  /// options.jobs (fault-partition sharding inside one request). Either
+  /// value is capped at the hardware thread count.
   std::size_t jobs = 1;
   /// Non-empty: open an ArtifactStore here and persist sweeps.
   std::string cache_dir;

@@ -4,8 +4,10 @@
 // coherent engine stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,7 +16,7 @@
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 
 namespace dp::core {
 namespace {
@@ -256,28 +258,84 @@ TEST(ParallelEngineTest, ExportedCountersMatchSerialExactly) {
   EXPECT_GT(serial[2], 0u);  // selective trace must be skipping gates
 }
 
-TEST(ParallelEngineTest, SharedTraceBufferRecordsEveryFault) {
-  const Circuit circuit = netlist::make_alu181();
-  const Structure structure(circuit);
-  const std::vector<StuckAtFault> faults =
-      fault::collapse_checkpoint_faults(circuit);
-  obs::TraceBuffer trace(1u << 12);
-  ParallelEngine::Options opt;
-  opt.jobs = 3;
-  opt.dp.trace = &trace;
-  ParallelEngine engine(circuit, structure, opt);
-  (void)engine.analyze_all(faults);
+/// Δ-seed sites of one fault: the fault site, both bridged wires, or one
+/// per multiple-fault component.
+std::size_t seed_sites_of(const StuckAtFault&) { return 1; }
+std::size_t seed_sites_of(const BridgingFault&) { return 2; }
+std::size_t seed_sites_of(const fault::MultipleStuckAtFault& f) {
+  return f.components.size();
+}
 
-  EXPECT_EQ(trace.total_recorded(), faults.size());
-  EXPECT_EQ(trace.dropped(), 0u);
-  // The per-event payloads must reconcile with the engine's own totals.
-  std::int64_t evaluated = 0;
-  for (const obs::TraceEvent& e : trace.snapshot()) {
-    EXPECT_EQ(e.kind, obs::TraceKind::Fault);
-    evaluated += e.a;
+const obs::SpanAttr& attr_of(const obs::SpanRecord& span,
+                             const std::string& key) {
+  for (const obs::SpanAttr& a : span.attrs) {
+    if (a.key == key) return a;
   }
+  ADD_FAILURE() << span.name << " span has no '" << key << "' attribute";
+  static const obs::SpanAttr kMissing;
+  return kMissing;
+}
+
+/// Sweeps `faults` at --jobs 4 under an installed span collector and
+/// checks the dp.fault spans against the sweep: exactly one per fault,
+/// gate work summing to the engine totals, and each span's per-fault
+/// summary equal to that fault's returned analysis.
+template <typename Fault>
+void expect_fault_spans_match_sweep(const Circuit& circuit,
+                                    const std::vector<Fault>& faults) {
+  const Structure structure(circuit);
+  obs::SpanCollector spans;
+  obs::SpanCollector::install(&spans);
+  ParallelEngine::Options opt;
+  opt.jobs = 4;
+  ParallelEngine engine(circuit, structure, opt);
+  const std::vector<FaultAnalysis> analyses = engine.analyze_all(faults);
+  obs::SpanCollector::install(nullptr);
+
+  std::map<std::string, std::size_t> index_of;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    index_of[fault::describe(faults[i], circuit)] = i;
+  }
+  ASSERT_EQ(index_of.size(), faults.size()) << "site labels must be unique";
+
+  const obs::SpanCollector::Snapshot snap = spans.snapshot();
+  EXPECT_EQ(snap.dropped, 0u);
+  std::vector<int> spans_per_fault(faults.size(), 0);
+  std::int64_t evaluated = 0, skipped = 0;
+  for (const obs::SpanRecord& s : snap.spans) {
+    if (s.name != "dp.fault") continue;
+    const auto it = index_of.find(attr_of(s, "site").text);
+    ASSERT_NE(it, index_of.end()) << attr_of(s, "site").text;
+    const FaultAnalysis& a = analyses[it->second];
+    ++spans_per_fault[it->second];
+    evaluated += attr_of(s, "gates_evaluated").i;
+    skipped += attr_of(s, "gates_skipped").i;
+    EXPECT_EQ(attr_of(s, "gates_evaluated").i,
+              static_cast<std::int64_t>(a.stats.gates_evaluated));
+    EXPECT_EQ(attr_of(s, "pos_observable").i,
+              static_cast<std::int64_t>(a.pos_observable));
+    EXPECT_EQ(attr_of(s, "seed_sites").i,
+              static_cast<std::int64_t>(seed_sites_of(faults[it->second])));
+    EXPECT_EQ(attr_of(s, "detectable").i, a.detectable ? 1 : 0);
+  }
+  EXPECT_EQ(spans_per_fault, std::vector<int>(faults.size(), 1));
   EXPECT_EQ(static_cast<std::uint64_t>(evaluated),
             engine.stats().total_gates_evaluated());
+  EXPECT_EQ(static_cast<std::uint64_t>(skipped),
+            engine.stats().total_gates_skipped());
+}
+
+TEST(ParallelEngineTest, FaultSpansCarryThePerFaultSummaryAtJobs4) {
+  const Circuit circuit = netlist::make_alu181();
+  const Structure structure(circuit);
+  expect_fault_spans_match_sweep(circuit,
+                                 fault::collapse_checkpoint_faults(circuit));
+  std::vector<BridgingFault> bridges =
+      fault::enumerate_nfbfs(circuit, structure, BridgeType::And);
+  bridges.resize(std::min<std::size_t>(bridges.size(), 200));
+  expect_fault_spans_match_sweep(circuit, bridges);
+  expect_fault_spans_match_sweep(
+      circuit, fault::sample_multiple_faults(circuit, 3, 50, /*seed=*/7));
 }
 
 TEST(ParallelEngineTest, JobsZeroMeansHardwareConcurrency) {

@@ -7,11 +7,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/hybrid.hpp"
@@ -21,6 +23,7 @@
 #include "fault/stuck_at.hpp"
 #include "netlist/generators.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -133,6 +136,34 @@ TEST(ServiceTest, UnknownCircuitAndUnknownOptionAreBadRequests) {
   EXPECT_EQ(r.at("error").at("code").as_string(), "bad_request");
   EXPECT_NE(r.at("error").at("message").as_string().find("colapse"),
             std::string::npos);
+}
+
+TEST(ServiceTest, IntegerOptionsRejectNonIntegralNumbers) {
+  // 2.5 must not truncate to 2, and numbers the parser keeps as doubles
+  // (1e300, anything past 2^63) must bounce instead of reaching a
+  // float-to-int cast.
+  obs::MetricsRegistry metrics;
+  Service service(ServiceOptions{}, &metrics);
+  const std::pair<const char*, const char*> fields[] = {
+      {"analyze", "jobs"},          {"analyze", "bridge_count"},
+      {"analyze", "bridge_seed"},   {"analyze", "prefilter_patterns"},
+      {"analyze", "prefilter_seed"}, {"ndetect", "n"},
+      {"ndetect", "jobs"},          {"grade", "patterns"},
+      {"grade", "seed"},            {"sleep", "ms"}};
+  for (const char* value : {"2.5", "1e300", "18446744073709551616"}) {
+    for (const auto& [type, key] : fields) {
+      const JsonValue r = JsonValue::parse(
+          std::string("{\"type\": \"") + type +
+          "\", \"circuit\": \"c17\", \"options\": {\"" + key +
+          "\": " + value + "}}");
+      const JsonValue resp = service.handle(r);
+      EXPECT_FALSE(resp.at("ok").as_bool()) << type << " " << key << "="
+                                            << value;
+      EXPECT_EQ(resp.at("error").at("code").as_string(), "bad_request");
+      EXPECT_NE(resp.at("error").at("message").as_string().find(key),
+                std::string::npos);
+    }
+  }
 }
 
 TEST(ServiceTest, InlineBenchTextIsAccepted) {
@@ -335,6 +366,44 @@ JsonValue analyze_req(const std::string& circuit, const std::string& model,
   if (model == "hybrid") opts["prefilter_patterns"] = 512;
   r["options"] = std::move(opts);
   return r;
+}
+
+TEST(ServiceTest, RequestJobsAreCappedAtHardwareThreads) {
+  // Each job is a thread plus a BDD manager, so a request may not ask for
+  // more than the machine has; results are jobs-invariant either way.
+  const std::int64_t hardware = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+  const netlist::Circuit circuit = netlist::make_benchmark("c17");
+  const analysis::AnalysisOptions a;
+  const JsonValue expected = analysis::profile_to_json(
+      analysis::analyze_stuck_at(circuit, a),
+      analysis::profile_cache_key(circuit, "sa", a));
+
+  obs::MetricsRegistry metrics;
+  Service service(ServiceOptions{}, &metrics);
+  obs::SpanCollector spans;
+  obs::SpanCollector::install(&spans);
+  const JsonValue resp = service.handle(analyze_req("c17", "sa", 64));
+  JsonValue nd = req("ndetect", "c17");
+  nd["options"] = JsonValue::object();
+  nd["options"]["jobs"] = 64;
+  const JsonValue nd_resp = service.handle(nd);
+  obs::SpanCollector::install(nullptr);
+
+  ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump(0);
+  EXPECT_EQ(resp.at("profile").dump(0), expected.dump(0));
+  ASSERT_TRUE(nd_resp.at("ok").as_bool()) << nd_resp.dump(0);
+  std::size_t builds = 0;
+  for (const obs::SpanRecord& s : spans.snapshot().spans) {
+    if (s.name != "dp.build") continue;
+    ++builds;
+    for (const obs::SpanAttr& attr : s.attrs) {
+      if (attr.key == "jobs") {
+        EXPECT_LE(attr.i, hardware);
+      }
+    }
+  }
+  EXPECT_GE(builds, 2u);  // one engine per request
 }
 
 /// The acceptance contract: a served analyze response's profile document
