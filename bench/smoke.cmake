@@ -215,10 +215,11 @@ endif()
 # The complement-edge kernel and the v2 forest loader are the two places
 # where an off-by-one on the complement bit corrupts memory instead of
 # failing a test, so the smoke target reruns their suites under the
-# `asan` preset (ASan+UBSan, build-asan/).
+# `asan` preset (ASan+UBSan, build-asan/). ops_test joins them because the
+# option validator reads JSON that arrives from dpserved's socket.
 if(SOURCE_DIR)
   set(asan_tests bdd_test bdd_reorder_test gc_stress_test frozen_forest_test
-      store_test verify_test sim_test hybrid_test ndetect_test)
+      store_test verify_test sim_test hybrid_test ndetect_test ops_test)
   message(STATUS "bench_smoke: configuring asan preset")
   execute_process(
       COMMAND "${CMAKE_COMMAND}" --preset asan

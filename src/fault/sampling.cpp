@@ -12,10 +12,12 @@ std::vector<BridgingFault> sample_bridging_faults(
     const std::vector<BridgingFault>& candidates,
     const SamplingOptions& options) {
   (void)circuit;
-  if (candidates.size() <= options.target_count) return candidates;
+  // Checked before the small-population shortcut, so an invalid policy
+  // fails on every circuit rather than only on the large ones.
   if (options.theta <= 0.0) {
     throw netlist::NetlistError("sample_bridging_faults: theta must be > 0");
   }
+  if (candidates.size() <= options.target_count) return candidates;
 
   // Normalize distances to the maximum over all candidates.
   std::vector<double> dist(candidates.size());

@@ -141,29 +141,125 @@ TEST(ServiceTest, UnknownCircuitAndUnknownOptionAreBadRequests) {
 TEST(ServiceTest, IntegerOptionsRejectNonIntegralNumbers) {
   // 2.5 must not truncate to 2, and numbers the parser keeps as doubles
   // (1e300, anything past 2^63) must bounce instead of reaching a
-  // float-to-int cast.
+  // float-to-int cast. Each key is sent with a model it applies to, so
+  // the kind check itself answers. The request "id" takes the same check
+  // and the error goes out with id 0.
   obs::MetricsRegistry metrics;
   Service service(ServiceOptions{}, &metrics);
-  const std::pair<const char*, const char*> fields[] = {
-      {"analyze", "jobs"},          {"analyze", "bridge_count"},
-      {"analyze", "bridge_seed"},   {"analyze", "prefilter_patterns"},
-      {"analyze", "prefilter_seed"}, {"ndetect", "n"},
-      {"ndetect", "jobs"},          {"grade", "patterns"},
-      {"grade", "seed"},            {"sleep", "ms"}};
+  struct Field {
+    const char* type;
+    const char* model;  // nullptr: the op has no models
+    const char* key;
+  };
+  const Field fields[] = {
+      {"analyze", "sa", "jobs"},
+      {"analyze", "bf.and", "bridge_count"},
+      {"analyze", "bf.or", "bridge_seed"},
+      {"analyze", "hybrid", "prefilter_patterns"},
+      {"analyze", "hybrid", "prefilter_seed"},
+      {"ndetect", nullptr, "n"},
+      {"ndetect", nullptr, "jobs"},
+      {"grade", nullptr, "patterns"},
+      {"grade", nullptr, "seed"},
+      {"sleep", nullptr, "ms"}};
   for (const char* value : {"2.5", "1e300", "18446744073709551616"}) {
-    for (const auto& [type, key] : fields) {
+    for (const auto& [type, model, key] : fields) {
+      const std::string model_member =
+          model ? std::string("\"model\": \"") + model + "\", " : "";
       const JsonValue r = JsonValue::parse(
           std::string("{\"type\": \"") + type +
-          "\", \"circuit\": \"c17\", \"options\": {\"" + key +
-          "\": " + value + "}}");
+          "\", \"circuit\": \"c17\", \"options\": {" + model_member + "\"" +
+          key + "\": " + value + "}}");
       const JsonValue resp = service.handle(r);
       EXPECT_FALSE(resp.at("ok").as_bool()) << type << " " << key << "="
                                             << value;
       EXPECT_EQ(resp.at("error").at("code").as_string(), "bad_request");
-      EXPECT_NE(resp.at("error").at("message").as_string().find(key),
+      EXPECT_NE(resp.at("error").at("message").as_string().find(
+                    std::string("'") + key + "' must be a non-negative integer"),
+                std::string::npos)
+          << resp.dump(0);
+    }
+    const JsonValue ping = service.handle(JsonValue::parse(
+        std::string("{\"type\": \"ping\", \"id\": ") + value + "}"));
+    EXPECT_FALSE(ping.at("ok").as_bool()) << "id=" << value;
+    EXPECT_EQ(ping.at("error").at("code").as_string(), "bad_request");
+    EXPECT_EQ(ping.at("id").as_int(), 0);
+  }
+}
+
+TEST(ServiceTest, NonPositiveBridgeThetaIsABadRequest) {
+  // On c432 the sampler used to throw (an internal error); on c17 the
+  // population fits the target, so theta was never checked and the
+  // request ran. The schema rejects both up front.
+  obs::MetricsRegistry metrics;
+  Service service(ServiceOptions{}, &metrics);
+  for (const char* circuit : {"c17", "c432"}) {
+    for (const double theta : {0.0, -1.0}) {
+      JsonValue r = req("analyze", circuit);
+      JsonValue opts = JsonValue::object();
+      opts["model"] = "bf.and";
+      opts["bridge_theta"] = theta;
+      r["options"] = std::move(opts);
+      const JsonValue resp = service.handle(r);
+      EXPECT_FALSE(resp.at("ok").as_bool()) << circuit << " " << theta;
+      EXPECT_EQ(resp.at("error").at("code").as_string(), "bad_request");
+      EXPECT_NE(resp.at("error").at("message").as_string().find(
+                    "bridge_theta"),
                 std::string::npos);
     }
   }
+  EXPECT_EQ(metrics.counter("serve.errors.internal").value(), 0u);
+  EXPECT_EQ(metrics.counter("serve.errors.bad_request").value(), 4u);
+}
+
+/// An option that does not apply to the request's model is rejected,
+/// naming the key, instead of being ignored yet folded into the cache key.
+class NonApplicableOptionTest
+    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+
+TEST_P(NonApplicableOptionTest, IsABadRequestNamingTheKey) {
+  const auto& [options, key] = GetParam();
+  obs::MetricsRegistry metrics;
+  Service service(ServiceOptions{}, &metrics);
+  JsonValue r = req("analyze", "c17");
+  r["options"] = JsonValue::parse(options);
+  const JsonValue resp = service.handle(r);
+  EXPECT_FALSE(resp.at("ok").as_bool()) << options;
+  EXPECT_EQ(resp.at("error").at("code").as_string(), "bad_request");
+  EXPECT_NE(resp.at("error").at("message").as_string().find(
+                std::string("option '") + key + "' does not apply"),
+            std::string::npos)
+      << resp.dump(0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Analyze, NonApplicableOptionTest,
+    ::testing::Values(
+        std::pair{R"({"model": "sa", "bridge_count": 5})", "bridge_count"},
+        std::pair{R"({"model": "bf.or", "collapse": false})", "collapse"},
+        std::pair{R"({"model": "hybrid", "persist": false})", "persist"}),
+    [](const auto& info) { return std::string(info.param.second); });
+
+TEST(ServiceTest, DefaultOptionRequestsKeepTheirCacheKeys) {
+  // The keys c17 analyze requests with default options have always had;
+  // a change here silently orphans every cached profile on disk.
+  obs::MetricsRegistry metrics;
+  Service service(ServiceOptions{}, &metrics);
+  const std::pair<const char*, const char*> expected[] = {
+      {"sa", "f668c6276badac5a25dffbe14f34de29"},
+      {"hybrid", "aac90b35a033cd2484ee2ea886ba04f2"},
+      {"bf.and", "0c1fe38ad69181cd1ca7c5d7939d39a4"},
+      {"bf.or", "20691d4afdb917de19b14616158338ea"}};
+  for (const auto& [model, key] : expected) {
+    JsonValue r = req("analyze", "c17");
+    r["options"] = JsonValue::object();
+    r["options"]["model"] = model;
+    const JsonValue resp = service.handle(r);
+    ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump(0);
+    EXPECT_EQ(resp.at("key").as_string(), key) << model;
+  }
+  EXPECT_EQ(service.handle(req("analyze", "c17")).at("key").as_string(),
+            expected[0].second);
 }
 
 TEST(ServiceTest, InlineBenchTextIsAccepted) {
