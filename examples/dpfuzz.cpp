@@ -29,98 +29,77 @@
 
 namespace {
 
-int usage() {
-  std::cerr
-      << "usage: dpfuzz [--seed N] [--cases N] [--max-gates N]\n"
-         "              [--max-inputs N] [--jobs N] [--shapes a,b,...]\n"
-         "              [--no-bridging] [--no-parallel]\n"
-         "              [--no-shared-forest] [--no-store]\n"
-         "              [--no-hybrid] [--no-ndetect] [--no-shrink]\n"
-         "              [--scratch-dir PATH]\n"
-         "              [--repro-dir PATH] [--metrics-json PATH]\n"
-         "              [--max-failures N] [--self-test] [--quiet]\n"
-         "shapes: mixed fanout xor reconvergent chain (default: all)\n";
-  return 2;
+namespace ops = dp::analysis::ops;
+
+/// The flags, as option rows (analysis/ops.hpp); defaults come from
+/// CampaignConfig. The boolean rows default on and are spelled --no-KEY.
+const dp::verify::CampaignConfig kDefaults;
+const ops::Row kRows[] = {
+    {"seed", ops::Kind::Count, double(kDefaults.cases.seed)},
+    {"cases", ops::Kind::Count, double(kDefaults.num_cases)},
+    {"max_gates", ops::Kind::Count, double(kDefaults.cases.max_gates)},
+    {"max_inputs", ops::Kind::Count, double(kDefaults.cases.max_inputs)},
+    {"jobs", ops::Kind::Count, double(kDefaults.oracle.jobs)},
+    {.key = "shapes", .kind = ops::Kind::Text},
+    {"bridging", ops::Kind::Bool, 1},
+    {"parallel", ops::Kind::Bool, 1},
+    {"shared_forest", ops::Kind::Bool, 1},
+    {"store", ops::Kind::Bool, 1},
+    {"hybrid", ops::Kind::Bool, 1},
+    {"ndetect", ops::Kind::Bool, 1},
+    {"shrink", ops::Kind::Bool, 1},
+    {.key = "scratch_dir", .kind = ops::Kind::Text},
+    {.key = "repro_dir", .kind = ops::Kind::Text},
+    {.key = "metrics_json", .kind = ops::Kind::Text},
+    {"max_failures", ops::Kind::Count, double(kDefaults.max_failures)},
+    {"self_test", ops::Kind::Bool, 0},
+    {"quiet", ops::Kind::Bool, 0},
+};
+const ops::Schema kFlags{"dpfuzz", kRows};
+
+std::string usage() {
+  return "usage: dpfuzz [options]\n" + ops::usage(kFlags) +
+         "  shapes: mixed fanout xor reconvergent chain (default: all)\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  dp::cli::handle_version_flag(
-      std::vector<std::string>(argv + 1, argv + argc), "dpfuzz");
-  using dp::cli::parse_count;
+  std::vector<std::string> args(argv + 1, argv + argc);
+  dp::cli::handle_version_flag(args, "dpfuzz");
   namespace fs = std::filesystem;
 
+  std::vector<std::string> pos;
+  const ops::Options o = dp::cli::parse_options(kFlags, args, &pos, 0, usage());
   dp::verify::CampaignConfig config;
-  config.num_cases = 100;
-  config.progress = &std::cout;
-  std::string metrics_path, scratch_dir;
-  bool self_test = false;
-
-  std::vector<std::string> args(argv + 1, argv + argc);
-  auto take_value = [&](std::size_t& i) -> std::string {
-    if (i + 1 >= args.size()) {
-      std::cerr << "error: " << args[i] << " requires a value\n";
-      std::exit(2);
+  config.cases.seed = o.count("seed");
+  config.num_cases = o.count("cases");
+  config.cases.max_gates = static_cast<int>(o.count("max_gates"));
+  config.cases.max_inputs = static_cast<int>(o.count("max_inputs"));
+  config.oracle.jobs = o.count("jobs");
+  std::stringstream shapes(o.text("shapes"));
+  for (std::string token; std::getline(shapes, token, ',');) {
+    const auto shape = dp::netlist::circuit_shape_from_string(token);
+    if (!shape) {
+      std::cerr << "error: unknown shape '" << token << "'\n" << usage();
+      return 2;
     }
-    return args[++i];
-  };
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--seed") {
-      config.cases.seed = parse_count(a, take_value(i));
-    } else if (a == "--cases") {
-      config.num_cases = parse_count(a, take_value(i));
-    } else if (a == "--max-gates") {
-      config.cases.max_gates = static_cast<int>(parse_count(a, take_value(i)));
-    } else if (a == "--max-inputs") {
-      config.cases.max_inputs =
-          static_cast<int>(parse_count(a, take_value(i)));
-    } else if (a == "--jobs") {
-      config.oracle.jobs = parse_count(a, take_value(i));
-    } else if (a == "--max-failures") {
-      config.max_failures = parse_count(a, take_value(i));
-    } else if (a == "--shapes") {
-      std::stringstream ss(take_value(i));
-      std::string token;
-      while (std::getline(ss, token, ',')) {
-        const auto shape = dp::netlist::circuit_shape_from_string(token);
-        if (!shape) {
-          std::cerr << "error: unknown shape '" << token << "'\n";
-          return usage();
-        }
-        config.cases.shapes.push_back(*shape);
-      }
-    } else if (a == "--no-bridging") {
-      config.cases.include_bridging = false;
-    } else if (a == "--no-parallel") {
-      config.oracle.check_parallel = false;
-    } else if (a == "--no-shared-forest") {
-      config.oracle.shared_forest = false;
-      config.oracle.check_shared_forest = false;
-    } else if (a == "--no-store") {
-      config.oracle.check_store = false;
-    } else if (a == "--no-hybrid") {
-      config.oracle.check_hybrid = false;
-    } else if (a == "--no-ndetect") {
-      config.oracle.check_ndetect = false;
-    } else if (a == "--no-shrink") {
-      config.shrink = false;
-    } else if (a == "--scratch-dir") {
-      scratch_dir = take_value(i);
-    } else if (a == "--repro-dir") {
-      config.repro_dir = take_value(i);
-    } else if (a == "--metrics-json") {
-      metrics_path = take_value(i);
-    } else if (a == "--self-test") {
-      self_test = true;
-    } else if (a == "--quiet") {
-      config.progress = nullptr;
-    } else {
-      std::cerr << "error: unknown argument '" << a << "'\n";
-      return usage();
-    }
+    config.cases.shapes.push_back(*shape);
   }
+  config.cases.include_bridging = o.flag("bridging");
+  config.oracle.check_parallel = o.flag("parallel");
+  config.oracle.shared_forest = o.flag("shared_forest");
+  config.oracle.check_shared_forest = o.flag("shared_forest");
+  config.oracle.check_store = o.flag("store");
+  config.oracle.check_hybrid = o.flag("hybrid");
+  config.oracle.check_ndetect = o.flag("ndetect");
+  config.shrink = o.flag("shrink");
+  std::string scratch_dir = o.text("scratch_dir");
+  config.repro_dir = o.text("repro_dir");
+  const std::string& metrics_path = o.text("metrics_json");
+  config.max_failures = o.count("max_failures");
+  const bool self_test = o.flag("self_test");
+  config.progress = o.flag("quiet") ? nullptr : &std::cout;
   if (config.cases.max_inputs < config.cases.min_inputs ||
       config.cases.max_gates < config.cases.min_gates) {
     std::cerr << "error: --max-inputs >= " << config.cases.min_inputs

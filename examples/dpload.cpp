@@ -51,16 +51,37 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-int usage() {
-  std::cerr
-      << "usage: dpload (--unix PATH | --host IP --port N | --spawn "
-         "DPSERVED)\n"
-         "              [--qps Q] [--requests N] [--connections C]\n"
-         "              [--circuits a,b,c] [--model sa|bf.and|bf.or|hybrid]\n"
-         "              [--jobs N] [--deadline-ms N] [--out PATH]\n"
-         "              [--workers N] [--queue-depth N] [--cache-dir PATH]\n"
-         "              [--assert-warm-faster] [--quiet] [--version]\n";
-  return 2;
+namespace ops = dp::analysis::ops;
+
+/// The flags, as option rows (analysis/ops.hpp). --port has no default:
+/// absent, no TCP target. --workers, --queue-depth and --cache-dir are
+/// forwarded to a --spawn'd server.
+const ops::Row kRows[] = {
+    {.key = "unix", .kind = ops::Kind::Text},
+    {.key = "host", .kind = ops::Kind::Text, .text = "127.0.0.1"},
+    {.key = "port", .kind = ops::Kind::Count, .unset = true},
+    {.key = "spawn", .kind = ops::Kind::Text},
+    {.key = "qps", .kind = ops::Kind::Number, .fallback = 20,
+     .positive = true},
+    {"requests", ops::Kind::Count, 60},
+    {"connections", ops::Kind::Count, 4},
+    {.key = "circuits", .kind = ops::Kind::Text, .text = "c17,alu181"},
+    {.key = "model", .kind = ops::Kind::Text, .text = "sa"},
+    {"jobs", ops::Kind::Count, 1},
+    {"deadline_ms", ops::Kind::Count},
+    {.key = "out", .kind = ops::Kind::Text, .text = "BENCH_served.json"},
+    {"workers", ops::Kind::Count, 2},
+    {"queue_depth", ops::Kind::Count, 64},
+    {.key = "cache_dir", .kind = ops::Kind::Text},
+    {"assert_warm_faster", ops::Kind::Bool, 0},
+    {"quiet", ops::Kind::Bool, 0},
+};
+const ops::Schema kFlags{"dpload", kRows};
+
+std::string usage() {
+  return "usage: dpload (--unix PATH | --host IP --port N | --spawn "
+         "DPSERVED) [options]\n" +
+         ops::usage(kFlags) + "  --version\n";
 }
 
 struct Sample {
@@ -96,72 +117,25 @@ int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   dp::cli::handle_version_flag(args, "dpload");
 
-  std::string unix_path, host = "127.0.0.1", spawn, out = "BENCH_served.json";
-  std::string circuits_arg = "c17,alu181", model = "sa";
-  std::string spawn_cache_dir;
-  int port = -1;
-  double qps = 20.0;
-  std::size_t requests = 60, connections = 4, jobs = 1;
-  std::size_t spawn_workers = 2, spawn_queue_depth = 64;
-  std::uint64_t deadline_ms = 0;
-  bool assert_warm_faster = false, quiet = false;
-
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    auto value = [&](const char* flag) -> std::string {
-      if (i + 1 >= args.size()) {
-        std::cerr << "error: " << flag << " requires a value\n";
-        std::exit(2);
-      }
-      return args[++i];
-    };
-    if (args[i] == "--unix") {
-      unix_path = value("--unix");
-    } else if (args[i] == "--host") {
-      host = value("--host");
-    } else if (args[i] == "--port") {
-      port = static_cast<int>(dp::cli::parse_count("--port", value("--port")));
-    } else if (args[i] == "--spawn") {
-      spawn = value("--spawn");
-    } else if (args[i] == "--qps") {
-      const std::string v = value("--qps");
-      char* end = nullptr;
-      qps = std::strtod(v.c_str(), &end);
-      if (end == v.c_str() || *end != '\0' || qps <= 0.0) {
-        std::cerr << "error: --qps expects a positive number\n";
-        return 2;
-      }
-    } else if (args[i] == "--requests") {
-      requests = dp::cli::parse_count("--requests", value("--requests"));
-    } else if (args[i] == "--connections") {
-      connections =
-          dp::cli::parse_count("--connections", value("--connections"));
-    } else if (args[i] == "--circuits") {
-      circuits_arg = value("--circuits");
-    } else if (args[i] == "--model") {
-      model = value("--model");
-    } else if (args[i] == "--jobs") {
-      jobs = dp::cli::parse_count("--jobs", value("--jobs"));
-    } else if (args[i] == "--deadline-ms") {
-      deadline_ms =
-          dp::cli::parse_count("--deadline-ms", value("--deadline-ms"));
-    } else if (args[i] == "--out") {
-      out = value("--out");
-    } else if (args[i] == "--workers") {
-      spawn_workers = dp::cli::parse_count("--workers", value("--workers"));
-    } else if (args[i] == "--queue-depth") {
-      spawn_queue_depth =
-          dp::cli::parse_count("--queue-depth", value("--queue-depth"));
-    } else if (args[i] == "--cache-dir") {
-      spawn_cache_dir = value("--cache-dir");
-    } else if (args[i] == "--assert-warm-faster") {
-      assert_warm_faster = true;
-    } else if (args[i] == "--quiet") {
-      quiet = true;
-    } else {
-      std::cerr << "error: unknown flag '" << args[i] << "'\n";
-      return usage();
-    }
-  }
+  std::vector<std::string> pos;
+  const ops::Options o = dp::cli::parse_options(kFlags, args, &pos, 0, usage());
+  std::string unix_path = o.text("unix");
+  const std::string& host = o.text("host");
+  const int port = o.given("port") ? static_cast<int>(o.count("port")) : -1;
+  const std::string& spawn = o.text("spawn");
+  const double qps = o.number("qps");
+  const std::size_t requests = o.count("requests");
+  std::size_t connections = o.count("connections");
+  const std::string& circuits_arg = o.text("circuits");
+  const std::string& model = o.text("model");
+  const std::size_t jobs = o.count("jobs");
+  const std::uint64_t deadline_ms = o.count("deadline_ms");
+  const std::string& out = o.text("out");
+  const std::size_t spawn_workers = o.count("workers");
+  const std::size_t spawn_queue_depth = o.count("queue_depth");
+  const std::string& spawn_cache_dir = o.text("cache_dir");
+  const bool assert_warm_faster = o.flag("assert_warm_faster");
+  const bool quiet = o.flag("quiet");
   if (connections == 0) connections = 1;
 
   std::vector<std::string> circuits;
@@ -234,7 +208,10 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (unix_path.empty() && port < 0) return usage();
+  if (unix_path.empty() && port < 0) {
+    std::cerr << usage();
+    return 2;
+  }
 
   auto connect = [&](std::string* err) {
     return unix_path.empty()

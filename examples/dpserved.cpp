@@ -10,8 +10,9 @@
 //   dpserved --port 0 [flags]                TCP on 127.0.0.1 (0 = pick)
 //
 //   --workers N        request-level worker threads (default 1)
-//   --jobs N           default per-request engine jobs (default 1;
-//                      a request's options.jobs overrides)
+//   --jobs N           default per-request engine jobs (default 1,
+//                      at most the hardware threads; a request's
+//                      options.jobs overrides)
 //   --queue-depth N    admission queue capacity (default 64)
 //   --deadline-ms N    default per-request deadline (default 0 = none)
 //   --cache-entries N  in-memory profile LRU capacity (default 64)
@@ -40,13 +41,31 @@
 
 namespace {
 
-int usage() {
-  std::cerr << "usage: dpserved (--unix PATH | --port N) [--workers N]\n"
-               "                [--jobs N] [--queue-depth N] [--deadline-ms N]\n"
-               "                [--cache-entries N] [--quiet]\n"
-               "                [--metrics-json PATH] [--trace-out PATH]\n"
-               "                [--cache-dir PATH] [--version]\n";
-  return 2;
+namespace ops = dp::analysis::ops;
+
+/// The flags, as option rows (analysis/ops.hpp); defaults come from the
+/// option structs. --port has no default: absent, no TCP listener.
+const dp::serve::ServerOptions kServer;
+const dp::serve::ServiceOptions kService;
+const ops::Row kRows[] = {
+    {.key = "unix", .kind = ops::Kind::Text},
+    {.key = "port", .kind = ops::Kind::Count, .unset = true},
+    {"workers", ops::Kind::Count, double(kServer.workers)},
+    {"jobs", ops::Kind::Count, double(kService.jobs), ops::kAnyModel,
+     ops::kHardwareThreads},
+    {"queue_depth", ops::Kind::Count, double(kServer.queue_depth)},
+    {"deadline_ms", ops::Kind::Count, double(kServer.default_deadline_ms)},
+    {"cache_entries", ops::Kind::Count,
+     double(kService.profile_cache_entries)},
+    {"quiet", ops::Kind::Bool, 0},
+};
+const ops::Schema kFlags{"dpserved", kRows};
+
+std::string usage() {
+  return "usage: dpserved (--unix PATH | --port N) [options]\n" +
+         ops::usage(kFlags) +
+         "  --metrics-json PATH, --trace-out PATH, --cache-dir PATH, "
+         "--version\n";
 }
 
 // Self-pipe: the signal handler writes one byte; a watcher thread turns
@@ -66,45 +85,21 @@ int main(int argc, char** argv) {
   dp::cli::Telemetry telemetry;
   telemetry.strip_flags(args);
 
+  std::vector<std::string> pos;
+  const ops::Options o = dp::cli::parse_options(kFlags, args, &pos, 0, usage());
   dp::serve::ServerOptions server_opts;
   dp::serve::ServiceOptions service_opts;
-  bool quiet = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    auto value = [&](const char* flag) -> std::string {
-      if (i + 1 >= args.size()) {
-        std::cerr << "error: " << flag << " requires a value\n";
-        std::exit(2);
-      }
-      return args[++i];
-    };
-    if (args[i] == "--unix") {
-      server_opts.unix_path = value("--unix");
-    } else if (args[i] == "--port") {
-      server_opts.tcp_port =
-          static_cast<int>(dp::cli::parse_count("--port", value("--port")));
-    } else if (args[i] == "--workers") {
-      server_opts.workers =
-          dp::cli::parse_count("--workers", value("--workers"));
-    } else if (args[i] == "--jobs") {
-      service_opts.jobs = dp::cli::parse_count("--jobs", value("--jobs"));
-    } else if (args[i] == "--queue-depth") {
-      server_opts.queue_depth =
-          dp::cli::parse_count("--queue-depth", value("--queue-depth"));
-    } else if (args[i] == "--deadline-ms") {
-      server_opts.default_deadline_ms =
-          dp::cli::parse_count("--deadline-ms", value("--deadline-ms"));
-    } else if (args[i] == "--cache-entries") {
-      service_opts.profile_cache_entries =
-          dp::cli::parse_count("--cache-entries", value("--cache-entries"));
-    } else if (args[i] == "--quiet") {
-      quiet = true;
-    } else {
-      std::cerr << "error: unknown flag '" << args[i] << "'\n";
-      return usage();
-    }
-  }
+  server_opts.unix_path = o.text("unix");
+  if (o.given("port")) server_opts.tcp_port = static_cast<int>(o.count("port"));
+  server_opts.workers = o.count("workers");
+  service_opts.jobs = o.count("jobs");
+  server_opts.queue_depth = o.count("queue_depth");
+  server_opts.default_deadline_ms = o.count("deadline_ms");
+  service_opts.profile_cache_entries = o.count("cache_entries");
+  const bool quiet = o.flag("quiet");
   if (server_opts.unix_path.empty() && server_opts.tcp_port < 0) {
-    return usage();
+    std::cerr << usage();
+    return 2;
   }
 
   // --cache-dir means what it means to dpcli: persistent profiles and

@@ -55,8 +55,9 @@ namespace dp::serve {
 
 struct ServiceOptions {
   /// Default engine worker count for requests that do not send
-  /// options.jobs (fault-partition sharding inside one request). Either
-  /// value is capped at the hardware thread count.
+  /// options.jobs (fault-partition sharding inside one request). The
+  /// "jobs" rows of the option schema cap both the request value and
+  /// dpserved's --jobs at the hardware thread count.
   std::size_t jobs = 1;
   /// Non-empty: open an ArtifactStore here and persist sweeps.
   std::string cache_dir;

@@ -210,6 +210,10 @@ TEST(SamplingTest, InvalidThetaThrows) {
   opt.theta = 0.0;
   EXPECT_THROW(sample_bridging_faults(c, layout, all, opt),
                netlist::NetlistError);
+  // Also when the whole population fits the target and no sampling runs.
+  opt.target_count = all.size();
+  EXPECT_THROW(sample_bridging_faults(c, layout, all, opt),
+               netlist::NetlistError);
 }
 
 }  // namespace
