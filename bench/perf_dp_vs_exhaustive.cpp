@@ -9,7 +9,7 @@
 #include "dp/engine.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/wide_sim.hpp"
 
 using namespace dp;
 
@@ -27,14 +27,18 @@ netlist::Circuit circuit_for(int id) {
   }
 }
 
+// One fault per iteration over all 2^n vectors, dropping off, so every
+// iteration pays the full exhaustive sweep.
 void BM_ExhaustiveSimulation(benchmark::State& state) {
   const netlist::Circuit c = circuit_for(static_cast<int>(state.range(0)));
-  sim::FaultSimulator fs(c);
+  const sim::WideFaultSimulator wide(c);
+  sim::WideSimOptions keep;
+  keep.drop_detected = false;
   const auto faults = fault::collapse_checkpoint_faults(c);
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        fs.exhaustive_detectability(faults[i++ % faults.size()]));
+        wide.grade_exhaustive({faults[i++ % faults.size()]}, keep));
   }
   state.SetLabel(c.name() + " n=" + std::to_string(c.num_inputs()));
 }

@@ -54,7 +54,7 @@ foreach(bench IN LISTS BENCHES)
   if(bench STREQUAL "perf_bdd_ops")
     set(extra "--benchmark_filter=BM_Negate/16$")
   elseif(bench STREQUAL "perf_dp_vs_exhaustive")
-    set(extra "--benchmark_filter=BM_DifferencePropagation/1$")
+    set(extra "--benchmark_filter=BM_(DifferencePropagation|ExhaustiveSimulation)/1$")
   elseif(bench STREQUAL "perf_hybrid")
     # Reduced workload: the headline resolution/speedup shape checks are
     # self-skipped off the default c1908/4096 configuration. This bench

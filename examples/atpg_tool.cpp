@@ -2,7 +2,7 @@
 // returns the COMPLETE test set of every fault, so ATPG reduces to vector
 // selection. This tool generates a compact test set for the collapsed
 // checkpoint faults of a circuit, then independently fault-grades it with
-// the parallel-pattern simulator.
+// the wide fault simulator.
 //
 //   $ ./atpg_tool             # defaults to c95
 //   $ ./atpg_tool c432
@@ -37,7 +37,6 @@
 #include "cli_common.hpp"
 #include "dp/parallel_engine.hpp"
 #include "netlist/structure.hpp"
-#include "sim/fault_sim.hpp"
 #include "sim/wide_sim.hpp"
 #include "store/bdd_io.hpp"
 #include "store/hash.hpp"
@@ -134,6 +133,10 @@ int main(int argc, char** argv) try {
     forest_key = kb.hex();
   }
 
+  // On the cold path the test-set BDDs in `entries` live in the engine's
+  // worker managers, so the engine is declared first: it must outlive
+  // every handle, including their destruction at the end of main.
+  std::optional<core::ParallelEngine> engine;
   struct Entry {
     const fault::StuckAtFault* fault;
     bdd::Bdd test_set;
@@ -141,10 +144,6 @@ int main(int argc, char** argv) try {
   };
   std::vector<Entry> entries;
   std::size_t redundant = 0;
-
-  // On the cold path the engine must stay alive until vector minting is
-  // done: the test-set BDDs live in its worker managers.
-  std::optional<core::ParallelEngine> engine;
   bool from_cache = false;
   if (tel.store()) {
     if (auto roots =
@@ -228,23 +227,24 @@ int main(int argc, char** argv) try {
 
   // Independent verification: grade the vector set with the simulator,
   // over the FULL fault list (prefilter-covered faults included).
-  sim::FaultSimulator fs(circuit);
-  const auto cov = fs.grade_vectors(faults, vectors);
-  std::cout << "Simulator-graded coverage: " << cov.detected << "/"
-            << cov.total << " = " << 100.0 * cov.fraction() << "%"
-            << " (expected: all but the " << redundant
+  const sim::WideFaultSimulator wide(circuit);
+  const auto cov = wide.grade_vectors(faults, vectors);
+  const std::size_t detected = cov.detected();
+  std::cout << "Simulator-graded coverage: " << detected << "/" << cov.total
+            << " = " << 100.0 * (static_cast<double>(detected) / cov.total)
+            << "% (expected: all but the " << redundant
             << " redundant faults)\n";
 
   // Comparison: how many random patterns reach the same coverage?
   std::size_t budget = 64;
   while (budget < 65536) {
-    if (fs.grade_random(faults, budget, 7).detected >= cov.detected) break;
+    if (wide.grade_random(faults, budget, 7).detected() >= detected) break;
     budget *= 2;
   }
   std::cout << "Random patterns needed for equal coverage: ~" << budget
             << " vs " << vectors.size() << " deterministic vectors\n";
 
-  bool ok = cov.detected + redundant == cov.total;
+  bool ok = detected + redundant == cov.total;
   std::cout << (ok ? "OK: complete coverage of all testable faults\n"
                    : "WARNING: coverage gap\n");
 
@@ -284,7 +284,6 @@ int main(int argc, char** argv) try {
     analysis::NDetectReport report = analyzer.report(vectors, ndetect);
     report.minted_vectors = minted_total;
 
-    sim::WideFaultSimulator wide(circuit);
     sim::WideFaultSimulator::Options wopt;
     wopt.drop_detected = false;
     const auto regrade = wide.grade_vectors(faults, vectors, wopt);

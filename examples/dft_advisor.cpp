@@ -6,22 +6,31 @@
 // re-running the exact analysis on each modified design. The paper's
 // claim: "detectability is best increased through enhanced observability".
 //
-//   $ ./dft_advisor            # defaults to c1355, 4 test points
-//   $ ./dft_advisor c432 6
+//   $ ./dft_advisor                       # c1355, 4 test points
+//   $ ./dft_advisor c432 --test-points 6  # or a .bench path
 #include <algorithm>
+#include <exception>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "analysis/profiles.hpp"
 #include "analysis/report.hpp"
 #include "cli_common.hpp"
-#include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
 #include "netlist/testpoints.hpp"
 
 using namespace dp;
 
 namespace {
+
+namespace ops = analysis::ops;
+
+/// The flags, as option rows (analysis/ops.hpp).
+const ops::Row kRows[] = {
+    {"test_points", ops::Kind::Count, 4},
+};
+const ops::Schema kFlags{"dft_advisor", kRows};
 
 /// Center nets: maximize min(level from PI, levels to PO); tie-break by
 /// fanout (a well-connected center net influences more faults).
@@ -55,13 +64,18 @@ void report_row(analysis::TextTable& t, const std::string& label,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  cli::handle_version_flag(std::vector<std::string>(argv + 1, argv + argc),
-                           "dft_advisor");
-  const std::string arg = argc > 1 ? argv[1] : "c1355";
-  const std::size_t k = argc > 2 ? std::stoul(argv[2]) : 4;
+// The function-try-block turns load failures (an unknown circuit, a
+// missing .bench file) into a message and exit 1.
+int main(int argc, char** argv) try {
+  std::vector<std::string> args(argv + 1, argv + argc);
+  cli::handle_version_flag(args, "dft_advisor");
+  std::vector<std::string> pos;
+  const ops::Options o = cli::parse_options(
+      kFlags, args, &pos, 1,
+      "usage: dft_advisor [circuit] [options]\n" + ops::usage(kFlags));
+  const std::size_t k = o.count("test_points");
 
-  netlist::Circuit base = netlist::make_benchmark(arg);
+  netlist::Circuit base = cli::load_circuit(pos.empty() ? "c1355" : pos[0]);
   netlist::Structure structure(base);
   const auto taps = pick_center_nets(base, structure, k);
 
@@ -101,4 +115,7 @@ int main(int argc, char** argv) {
                       "observability to dominate on average.")
             << "\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "dft_advisor: " << e.what() << "\n";
+  return 1;
 }

@@ -41,8 +41,9 @@
 #include "netlist/bench_io.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/wide_sim.hpp"
 #include "store/hash.hpp"
+#include "verify/reference_sim.hpp"
 
 using namespace dp;
 namespace ops = analysis::ops;
@@ -287,15 +288,14 @@ int cmd_atpg(const netlist::Circuit& c, cli::Telemetry& tel) {
   bdd::Manager mgr(0);
   core::GoodFunctions good(mgr, c);
   core::DifferencePropagator dp(good, st);
-  sim::FaultSimulator fs(c);
 
   const auto faults = fault::collapse_checkpoint_faults(c);
   std::size_t redundant = 0;
   const auto vectors = build_compact_vectors(c, dp, &redundant);
   mgr.export_metrics(tel.metrics());
-  const auto cov = fs.grade_vectors(faults, vectors);
+  const auto grade = sim::WideFaultSimulator(c).grade_vectors(faults, vectors);
   std::cout << "# " << c.name() << ": " << vectors.size() << " vectors, "
-            << cov.detected << "/" << cov.total << " faults detected, "
+            << grade.detected() << "/" << grade.total << " faults detected, "
             << redundant << " redundant\n";
   for (const auto& v : vectors) {
     for (bool b : v) std::cout << (b ? '1' : '0');
@@ -320,7 +320,6 @@ int cmd_diagnose(const netlist::Circuit& c, const std::string& net,
   bdd::Manager mgr(0);
   core::GoodFunctions good(mgr, c);
   core::DifferencePropagator dp(good, st);
-  sim::FaultSimulator fs(c);
 
   // Dictionary over a compact ATPG vector set.
   const auto faults = fault::collapse_checkpoint_faults(c);
@@ -330,19 +329,14 @@ int cmd_diagnose(const netlist::Circuit& c, const std::string& net,
   // "Defective unit": simulate the requested fault and collect its
   // failing-PO signatures on the same vectors.
   const fault::StuckAtFault injected{*id, std::nullopt, value == "1"};
+  const verify::ReferenceSimulator unit(c);
   std::vector<analysis::PoSignature> observed;
   for (const auto& v : vectors) {
-    std::vector<sim::Word> goodv(c.num_nets(), 0), badv(c.num_nets(), 0);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      goodv[c.inputs()[i]] = badv[c.inputs()[i]] = v[i] ? ~sim::Word{0} : 0;
-    }
-    fs.good_values(goodv);
-    fs.faulty_values(badv, injected);
+    const std::vector<bool> good_out = unit.outputs(v);
+    const std::vector<bool> bad_out = unit.outputs(v, injected);
     analysis::PoSignature sig = 0;
     for (std::size_t p = 0; p < c.num_outputs(); ++p) {
-      if ((goodv[c.outputs()[p]] ^ badv[c.outputs()[p]]) & 1) {
-        sig |= analysis::PoSignature{1} << p;
-      }
+      if (good_out[p] != bad_out[p]) sig |= analysis::PoSignature{1} << p;
     }
     observed.push_back(sig);
   }

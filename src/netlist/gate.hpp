@@ -63,25 +63,6 @@ constexpr int fixed_arity(GateType t) {
   }
 }
 
-/// Word-parallel evaluation used by the pattern simulator: each bit lane of
-/// the 64-bit words is an independent input vector.
-inline std::uint64_t eval_word2(GateType t, std::uint64_t a, std::uint64_t b) {
-  switch (t) {
-    case GateType::And: return a & b;
-    case GateType::Nand: return ~(a & b);
-    case GateType::Or: return a | b;
-    case GateType::Nor: return ~(a | b);
-    case GateType::Xor: return a ^ b;
-    case GateType::Xnor: return ~(a ^ b);
-    default: return a;
-  }
-}
-
-/// Scalar evaluation of a 2-input slice (used by tests and brute force).
-inline bool eval_bool2(GateType t, bool a, bool b) {
-  return (eval_word2(t, a ? ~0ull : 0ull, b ? ~0ull : 0ull) & 1ull) != 0;
-}
-
 std::string_view to_string(GateType t);
 
 /// Parses a .bench gate keyword (case-insensitive): "AND", "nand", ...

@@ -277,10 +277,8 @@ WideFaultSimulator::Grade WideFaultSimulator::grade_random(
   const auto& pis = circuit_->inputs();
   return run(faults, num_patterns, options,
              [&](std::uint64_t /*block*/, std::vector<WideWord>& values) {
-               // Draw order matches the legacy 64-wide grader (one word
-               // per PI per 64-pattern slice, slices in order), so the
-               // detected set is bit-identical to the narrow engine for
-               // every pattern count and seed.
+               // One word per PI per 64-pattern slice, slices in order:
+               // random_patterns() reproduces exactly this stream.
                for (std::size_t j = 0; j < kWideWords; ++j) {
                  for (std::size_t i = 0; i < pis.size(); ++i) {
                    values[pis[i]].w[j] = rng();
@@ -313,6 +311,33 @@ WideFaultSimulator::Grade WideFaultSimulator::grade_vectors(
                    if (vec[i]) {
                      values[pis[i]].w[l / 64] |= Word{1} << (l % 64);
                    }
+                 }
+               }
+             });
+}
+
+WideFaultSimulator::Grade WideFaultSimulator::grade_exhaustive(
+    const std::vector<StuckAtFault>& faults, const Options& options) const {
+  const auto& pis = circuit_->inputs();
+  if (pis.size() > kMaxExhaustiveInputs) {
+    throw std::invalid_argument(
+        "exhaustive analysis limited to " +
+        std::to_string(kMaxExhaustiveInputs) + " inputs; circuit '" +
+        circuit_->name() + "' has " + std::to_string(pis.size()));
+  }
+  // PIs 0..5 vary within a word (fixed stripes); PI i >= 6 is constant
+  // across a word and takes bit i-6 of the word's global index B*4 + j.
+  static constexpr Word kStripe[6] = {
+      0xaaaaaaaaaaaaaaaaull, 0xccccccccccccccccull, 0xf0f0f0f0f0f0f0f0ull,
+      0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull};
+  return run(faults, std::size_t{1} << pis.size(), options,
+             [&](std::uint64_t block, std::vector<WideWord>& values) {
+               for (std::size_t i = 0; i < pis.size(); ++i) {
+                 for (std::size_t j = 0; j < kWideWords; ++j) {
+                   const std::uint64_t word = block * kWideWords + j;
+                   values[pis[i]].w[j] =
+                       i < 6 ? kStripe[i]
+                             : ((word >> (i - 6)) & 1u) ? ~Word{0} : 0;
                  }
                }
              });

@@ -1,16 +1,15 @@
-// Levelized, wide bit-parallel stuck-at fault simulation.
-//
-// Where PatternSimulator re-evaluates the whole circuit once per fault per
-// 64-pattern block, this engine simulates 256 patterns per block (four
-// 64-bit words, plain loops the compiler auto-vectorizes) and propagates
-// each fault only through its fanout cone: the good-circuit block is
-// evaluated once over a flattened levelized schedule, then per fault the
-// difference is injected at the site and chased through the cone with
-// epoch-stamped scratch values, dying as soon as it stops differing from
-// the good value. Combined with fault dropping this is the classic
-// parallel-pattern single-fault-propagation design, and it is what makes
-// random-pattern prefiltering cheap enough to sit in front of exact DP
-// (see analysis/hybrid.hpp).
+// Levelized, wide bit-parallel stuck-at fault simulation: the one
+// production simulation kernel. A block holds 256 patterns (four 64-bit
+// words, plain loops the compiler auto-vectorizes). The good circuit is
+// evaluated once per block over a flattened levelized schedule; per fault,
+// the difference is injected at the site and chased through the fanout
+// cone with epoch-stamped scratch values until it dies (parallel-pattern
+// single-fault propagation, with fault dropping). Three pattern sources
+// feed the one block loop: a seeded random stream (the prefilter in front
+// of exact DP, analysis/hybrid.hpp), explicit vectors (ATPG grading,
+// n-detect recounts) and all 2^n inputs (the exhaustive baseline the paper
+// compares DP against). The naive reference that checks this engine is
+// verify/reference_sim.hpp.
 #pragma once
 
 #include <array>
@@ -18,11 +17,15 @@
 #include <vector>
 
 #include "fault/stuck_at.hpp"
-#include "sim/pattern_sim.hpp"
+#include "netlist/circuit.hpp"
 
 namespace dp::sim {
 
 using fault::StuckAtFault;
+using netlist::Circuit;
+using netlist::NetId;
+
+using Word = std::uint64_t;
 
 inline constexpr std::size_t kWideWords = 4;
 /// Patterns per simulation block.
@@ -86,6 +89,15 @@ class WideFaultSimulator {
   Grade grade_vectors(const std::vector<StuckAtFault>& faults,
                       const std::vector<std::vector<bool>>& vectors,
                       const Options& options = {}) const;
+
+  /// Exhaustive grading over all 2^n input vectors: pattern v assigns bit
+  /// i of v to PI i (PI 0 = LSB), so lane l of word j in block B is
+  /// vector B*256 + j*64 + l. Throws std::invalid_argument above
+  /// kMaxExhaustiveInputs inputs.
+  Grade grade_exhaustive(const std::vector<StuckAtFault>& faults,
+                         const Options& options = {}) const;
+
+  static constexpr std::size_t kMaxExhaustiveInputs = 26;
 
   /// The exact pattern stream grade_random(n, seed) applies, as explicit
   /// vectors: element p is pattern p of the stream. Lets ATPG materialize

@@ -13,9 +13,9 @@
 #include "dp/engine.hpp"
 #include "dp/parallel_engine.hpp"
 #include "netlist/structure.hpp"
-#include "sim/fault_sim.hpp"
 #include "sim/wide_sim.hpp"
 #include "store/artifact_store.hpp"
+#include "verify/reference_sim.hpp"
 
 namespace dp::verify {
 
@@ -102,7 +102,7 @@ DpView make_view(const core::FaultAnalysis& a, bool* mutate_pending,
 template <typename Fault>
 void check_fault(const Fault& f, bool* mutate_pending, const FuzzCase& fc,
                  const core::DifferencePropagator& dp,
-                 const sim::FaultSimulator& fs, Mutation mutate,
+                 const ReferenceSimulator& ref, Mutation mutate,
                  Recorder& rec, OracleResult& result,
                  core::FaultAnalysis& serial_out) {
   const std::string what = describe(f, fc.circuit);
@@ -110,20 +110,20 @@ void check_fault(const Fault& f, bool* mutate_pending, const FuzzCase& fc,
   const std::size_t n = fc.circuit.num_inputs();
   const DpView view = make_view(serial_out, mutate_pending, mutate, n);
 
-  const double sim_det = fs.exhaustive_detectability(f);
+  const TestSet tests = ref.test_set(f);
+  const double sim_det = tests.detectability();
   rec.expect_eq("dp_vs_sim.detectability", what, sim_det, view.detectability);
   rec.expect_eq("dp_vs_sim.detectable", what, sim_det > 0.0, view.detectable);
 
-  const auto bitmap = fs.exhaustive_test_set(f);
-  for (std::uint64_t v = 0; v < bitmap.size(); ++v) {
+  for (std::uint64_t v = 0; v < tests.size; ++v) {
     std::vector<bool> point(n);
     for (std::size_t i = 0; i < n; ++i) point[i] = (v >> i) & 1;
-    if (view.member(point, v) != bitmap[v]) {
+    if (view.member(point, v) != tests.contains(v)) {
       rec.mismatch("dp_vs_sim.test_set", what,
                    "membership differs at vector " + std::to_string(v));
     }
   }
-  result.vectors_checked += bitmap.size();
+  result.vectors_checked += tests.size;
   ++result.faults_checked;
 }
 
@@ -241,7 +241,7 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
     bdd::Manager manager(0);
     const core::GoodFunctions good(manager, fc.circuit);
     const core::DifferencePropagator dp(good, structure);
-    const sim::FaultSimulator fs(fc.circuit);
+    const ReferenceSimulator ref(fc.circuit);
     const std::size_t n = fc.circuit.num_inputs();
 
     // ---- syndromes (every net, exact) ----------------------------------
@@ -255,7 +255,7 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
         dp_syn += std::ldexp(1.0, -static_cast<int>(n));
       }
       rec.expect_eq("dp_vs_sim.syndrome", fc.circuit.net_name(id),
-                    fs.exhaustive_syndrome(id), dp_syn);
+                    ref.syndrome(id), dp_syn);
     }
 
     // ---- serial DP vs exhaustive simulation ----------------------------
@@ -264,11 +264,11 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
     bool mutate_pending = config.mutate == Mutation::InflateDetectability ||
                           config.mutate == Mutation::DropTestVector;
     for (std::size_t i = 0; i < fc.sa_faults.size(); ++i) {
-      check_fault(fc.sa_faults[i], &mutate_pending, fc, dp, fs,
+      check_fault(fc.sa_faults[i], &mutate_pending, fc, dp, ref,
                   config.mutate, rec, result, serial_sa[i]);
     }
     for (std::size_t i = 0; i < fc.bridges.size(); ++i) {
-      check_fault(fc.bridges[i], &mutate_pending, fc, dp, fs, config.mutate,
+      check_fault(fc.bridges[i], &mutate_pending, fc, dp, ref, config.mutate,
                   rec, result, serial_br[i]);
     }
 

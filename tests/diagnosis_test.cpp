@@ -6,7 +6,7 @@
 #include "analysis/diagnosis.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
-#include "sim/fault_sim.hpp"
+#include "verify/reference_sim.hpp"
 
 namespace dp::analysis {
 namespace {
@@ -21,26 +21,18 @@ struct Rig {
         manager(0),
         good(manager, circuit),
         engine(good, structure),
-        fs(circuit) {}
+        ref(circuit) {}
 
   /// Observed failing-PO signatures of `f` on `vectors`, via simulation.
   std::vector<PoSignature> observe(const StuckAtFault& f,
                                    const std::vector<std::vector<bool>>& vs) {
     std::vector<PoSignature> out;
     for (const auto& v : vs) {
-      std::vector<sim::Word> goodv(circuit.num_nets(), 0);
-      std::vector<sim::Word> badv(circuit.num_nets(), 0);
-      for (std::size_t i = 0; i < v.size(); ++i) {
-        goodv[circuit.inputs()[i]] = badv[circuit.inputs()[i]] =
-            v[i] ? ~sim::Word{0} : 0;
-      }
-      fs.good_values(goodv);
-      fs.faulty_values(badv, f);
+      const std::vector<bool> good_out = ref.outputs(v);
+      const std::vector<bool> bad_out = ref.outputs(v, f);
       PoSignature sig = 0;
       for (std::size_t p = 0; p < circuit.num_outputs(); ++p) {
-        if ((goodv[circuit.outputs()[p]] ^ badv[circuit.outputs()[p]]) & 1) {
-          sig |= PoSignature{1} << p;
-        }
+        if (good_out[p] != bad_out[p]) sig |= PoSignature{1} << p;
       }
       out.push_back(sig);
     }
@@ -52,7 +44,7 @@ struct Rig {
   bdd::Manager manager;
   core::GoodFunctions good;
   core::DifferencePropagator engine;
-  sim::FaultSimulator fs;
+  verify::ReferenceSimulator ref;
 };
 
 std::vector<std::vector<bool>> exhaustive_vectors(std::size_t n) {

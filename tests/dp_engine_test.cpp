@@ -8,7 +8,7 @@
 
 #include "dp/engine.hpp"
 #include "netlist/generators.hpp"
-#include "sim/fault_sim.hpp"
+#include "verify/reference_sim.hpp"
 
 namespace dp::core {
 namespace {
@@ -28,29 +28,29 @@ struct Rig {
         manager(0),
         good(manager, circuit),
         dp(good, structure),
-        fs(circuit) {}
+        ref(circuit) {}
 
   Circuit circuit;
   Structure structure;
   bdd::Manager manager;
   GoodFunctions good;
   DifferencePropagator dp;
-  sim::FaultSimulator fs;
+  verify::ReferenceSimulator ref;
 
-  /// Compares DP's symbolic test set with the simulator's bitmap.
+  /// Compares DP's symbolic test set with the reference's bitmap.
   template <typename Fault>
   void check_fault(const Fault& f, const std::string& what) {
     const FaultAnalysis a = dp.analyze(f);
-    const double sim_det = fs.exhaustive_detectability(f);
+    const verify::TestSet tests = ref.test_set(f);
+    const double sim_det = tests.detectability();
     ASSERT_DOUBLE_EQ(a.detectability, sim_det) << what;
     ASSERT_EQ(a.detectable, sim_det > 0.0) << what;
 
-    const auto bitmap = fs.exhaustive_test_set(f);
     const std::size_t n = circuit.num_inputs();
-    for (std::uint64_t v = 0; v < bitmap.size(); ++v) {
+    for (std::uint64_t v = 0; v < tests.size; ++v) {
       std::vector<bool> point(n);
       for (std::size_t i = 0; i < n; ++i) point[i] = (v >> i) & 1;
-      ASSERT_EQ(a.test_set.eval(point), bitmap[v])
+      ASSERT_EQ(a.test_set.eval(point), tests.contains(v))
           << what << " at vector " << v;
     }
 
@@ -110,7 +110,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DpVsExhaustiveRandomTest,
 TEST(DpEngineTest, SyndromesMatchExhaustiveSimulation) {
   Rig rig(netlist::make_c95_analog());
   for (NetId id = 0; id < rig.circuit.num_nets(); ++id) {
-    EXPECT_DOUBLE_EQ(rig.good.syndrome(id), rig.fs.exhaustive_syndrome(id))
+    EXPECT_DOUBLE_EQ(rig.good.syndrome(id), rig.ref.syndrome(id))
         << rig.circuit.net_name(id);
   }
 }

@@ -6,22 +6,14 @@
 #include <random>
 
 #include "netlist/generators.hpp"
-#include "sim/pattern_sim.hpp"
+#include "verify/reference_sim.hpp"
 
 namespace dp::netlist {
 namespace {
 
 /// Evaluates circuit outputs for one input assignment (PI-indexed bits).
 std::vector<bool> run(const Circuit& c, const std::vector<bool>& in) {
-  sim::PatternSimulator ps(c);
-  std::vector<sim::Word> values(c.num_nets(), 0);
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    values[c.inputs()[i]] = in[i] ? ~sim::Word{0} : 0;
-  }
-  ps.eval(values);
-  std::vector<bool> out;
-  for (NetId po : c.outputs()) out.push_back(values[po] & 1);
-  return out;
+  return verify::ReferenceSimulator(c).outputs(in);
 }
 
 std::vector<bool> bits_of(std::uint64_t v, std::size_t n) {

@@ -8,7 +8,7 @@
 #include "netlist/bench_io.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/wide_sim.hpp"
 
 namespace dp {
 namespace {
@@ -109,7 +109,6 @@ TEST(PipelineTest, AtpgStyleFlowReachesFullCoverage) {
   bdd::Manager mgr(0);
   core::GoodFunctions good(mgr, c);
   core::DifferencePropagator dp(good, st);
-  sim::FaultSimulator fs(c);
 
   const auto faults = fault::collapse_checkpoint_faults(c);
   std::vector<std::vector<bool>> vectors;
@@ -133,8 +132,8 @@ TEST(PipelineTest, AtpgStyleFlowReachesFullCoverage) {
     for (std::size_t i = 0; i < v.size(); ++i) v[i] = cube[i] == 1;
     vectors.push_back(std::move(v));
   }
-  const auto cov = fs.grade_vectors(faults, vectors);
-  EXPECT_EQ(cov.detected + redundant, cov.total);
+  const auto grade = sim::WideFaultSimulator(c).grade_vectors(faults, vectors);
+  EXPECT_EQ(grade.detected() + redundant, grade.total);
   // Compaction is real: far fewer vectors than faults.
   EXPECT_LT(vectors.size(), faults.size() / 2);
 }

@@ -6,7 +6,7 @@
 #include "fault/multiple.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
-#include "sim/fault_sim.hpp"
+#include "verify/reference_sim.hpp"
 
 namespace dp {
 namespace {
@@ -51,14 +51,14 @@ TEST_P(MultipleFaultDpTest, DpMatchesExhaustiveSimulation) {
   bdd::Manager mgr(0);
   core::GoodFunctions good(mgr, c);
   core::DifferencePropagator dp(good, st);
-  sim::FaultSimulator fs(c);
+  const verify::ReferenceSimulator ref(c);
 
   for (std::size_t multiplicity : {2u, 3u}) {
     const auto faults =
         fault::sample_multiple_faults(c, multiplicity, 60, 1990);
     for (const auto& mf : faults) {
       const core::FaultAnalysis a = dp.analyze(mf);
-      const double sim_det = fs.exhaustive_detectability(mf);
+      const double sim_det = ref.test_set(mf).detectability();
       ASSERT_DOUBLE_EQ(a.detectability, sim_det) << describe(mf, c);
       ASSERT_LE(a.detectability, a.upper_bound + 1e-12) << describe(mf, c);
     }

@@ -10,14 +10,14 @@
 #include "analysis/ndetect.hpp"
 #include "fault/stuck_at.hpp"
 #include "netlist/generators.hpp"
-#include "sim/fault_sim.hpp"
 #include "sim/wide_sim.hpp"
+#include "verify/reference_sim.hpp"
 
 namespace dp {
 namespace {
 
 /// All 2^n input vectors, index = packed PI assignment (PI 0 = LSB) --
-/// the same packing FaultSimulator::exhaustive_test_set uses.
+/// the same packing verify::TestSet uses.
 std::vector<std::vector<bool>> all_vectors(std::size_t num_inputs) {
   std::vector<std::vector<bool>> out;
   const std::uint64_t limit = 1ull << num_inputs;
@@ -38,14 +38,14 @@ std::uint64_t pack(const std::vector<bool>& v) {
 }
 
 /// Brute-force detection count: distinct vectors of `vectors` whose
-/// packed index the exhaustive simulator's test-set bitmap accepts.
-std::uint64_t brute_force_count(const std::vector<bool>& bitmap,
+/// packed index the reference simulator's test-set bitmap accepts.
+std::uint64_t brute_force_count(const verify::TestSet& tests,
                                 const std::vector<std::vector<bool>>& vectors) {
-  std::vector<bool> used(bitmap.size(), false);
+  std::vector<bool> used(tests.size, false);
   std::uint64_t count = 0;
   for (const auto& v : vectors) {
     const std::uint64_t idx = pack(v);
-    if (bitmap[idx] && !used[idx]) {
+    if (tests.contains(idx) && !used[idx]) {
       used[idx] = true;
       ++count;
     }
@@ -78,16 +78,14 @@ void expect_counts_match_brute_force(const netlist::Circuit& circuit,
   const auto faults = fault::collapse_checkpoint_faults(circuit);
   analysis::NDetectAnalyzer analyzer(circuit, faults);
   const auto counts = analyzer.detection_counts(vectors);
-  const sim::FaultSimulator fs(circuit);
+  const verify::ReferenceSimulator ref(circuit);
   ASSERT_EQ(counts.size(), faults.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    const auto bitmap = fs.exhaustive_test_set(faults[i]);
-    EXPECT_EQ(counts[i], brute_force_count(bitmap, vectors))
+    const verify::TestSet tests = ref.test_set(faults[i]);
+    EXPECT_EQ(counts[i], brute_force_count(tests, vectors))
         << fault::describe(faults[i], circuit);
     // CTS size cross-check: the bitmap's popcount is the satcount.
-    std::uint64_t cts = 0;
-    for (const bool b : bitmap) cts += b ? 1 : 0;
-    EXPECT_EQ(analyzer.cts_size(i), static_cast<double>(cts))
+    EXPECT_EQ(analyzer.cts_size(i), static_cast<double>(tests.count()))
         << fault::describe(faults[i], circuit);
   }
 }
@@ -135,7 +133,7 @@ TEST(NDetectTest, TopUpReachesQuotaForEveryDetectableFault) {
       std::vector<std::vector<bool>> vectors;
       analyzer.top_up(vectors, n);
       const auto counts = analyzer.detection_counts(vectors);
-      const sim::FaultSimulator fs(c);
+      const verify::ReferenceSimulator ref(c);
       for (std::size_t i = 0; i < faults.size(); ++i) {
         // >= not ==: a vector minted for one fault legitimately detects
         // others too (that sharing is why greedy top-up stays compact).
@@ -143,8 +141,7 @@ TEST(NDetectTest, TopUpReachesQuotaForEveryDetectableFault) {
             << name << " n=" << n << " " << fault::describe(faults[i], c);
         // Independent recount of the minted set.
         EXPECT_EQ(counts[i],
-                  brute_force_count(fs.exhaustive_test_set(faults[i]),
-                                    vectors))
+                  brute_force_count(ref.test_set(faults[i]), vectors))
             << name << " n=" << n;
       }
     }

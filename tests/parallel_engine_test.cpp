@@ -199,12 +199,15 @@ TEST(ParallelEngineTest, StatsAreCoherent) {
     total += w.faults_analyzed;
     EXPECT_GE(w.analyze_seconds, 0.0);
     EXPECT_GE(w.max_fault_seconds, 0.0);
-    EXPECT_GT(w.build_seconds, 0.0);
-    EXPECT_GT(w.apply_calls, 0u);
-    EXPECT_GT(w.nodes_created, 0u);
     // Every node is created after a unique-table probe that missed.
     EXPECT_GE(w.unique_lookups, w.nodes_created);
     EXPECT_EQ(w.ref_underflows, 0u);
+    // Faults are claimed dynamically, so under load a late worker may
+    // claim none; only a worker that analyzed faults must show work.
+    if (w.faults_analyzed == 0) continue;
+    EXPECT_GT(w.build_seconds, 0.0);
+    EXPECT_GT(w.apply_calls, 0u);
+    EXPECT_GT(w.nodes_created, 0u);
   }
   EXPECT_EQ(total, faults.size());
   EXPECT_GT(st.wall_seconds, 0.0);
@@ -429,6 +432,42 @@ TEST(ParallelEngineTest, MoreJobsThanFaultsIsExactAndCoherent) {
   }
   EXPECT_EQ(total, faults.size());
   EXPECT_LE(busy, faults.size());
+}
+
+TEST(ParallelEngineTest, IdleWorkersReportNoWork) {
+  // Four workers, two faults: at least two workers claim nothing. Their
+  // sweep counters must be zero, and the totals must still account for
+  // every fault and every apply call.
+  const Circuit circuit = netlist::make_alu181();
+  const Structure structure(circuit);
+  std::vector<StuckAtFault> faults = fault::collapse_checkpoint_faults(circuit);
+  faults.resize(2);
+  ParallelEngine::Options opt;
+  opt.jobs = 4;
+  ParallelEngine engine(circuit, structure, opt);
+  (void)engine.analyze_all(faults);
+
+  const ParallelStats& st = engine.stats();
+  ASSERT_EQ(st.workers.size(), 4u);
+  std::size_t total = 0, idle = 0;
+  std::uint64_t apply_calls = 0;
+  for (const WorkerStats& w : st.workers) {
+    total += w.faults_analyzed;
+    apply_calls += w.apply_calls;
+    if (w.faults_analyzed > 0) continue;
+    ++idle;
+    EXPECT_EQ(w.apply_calls, 0u);
+    EXPECT_EQ(w.nodes_created, 0u);
+    EXPECT_EQ(w.unique_lookups, 0u);
+    EXPECT_EQ(w.gates_evaluated, 0u);
+    EXPECT_EQ(w.analyze_seconds, 0.0);
+    EXPECT_TRUE(w.fault_seconds.empty());
+  }
+  EXPECT_GE(idle, 2u);
+  EXPECT_EQ(st.faults, faults.size());
+  EXPECT_EQ(total, faults.size());
+  EXPECT_EQ(st.total_apply_calls(), apply_calls);
+  EXPECT_GT(st.total_apply_calls(), 0u);
 }
 
 TEST(ParallelEngineTest, BuildFailureIsRethrownFromTheConstructor) {

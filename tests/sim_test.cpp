@@ -1,123 +1,162 @@
-// Simulator tests: lane packing, stuck-at and bridging injection semantics,
-// exhaustive sweeps, vector grading, ragged-block lane masking.
+// Simulator tests: the reference simulator's injection semantics and
+// exhaustive sweeps against hand models, the wide engine's grading and
+// lane masking, and the wide exhaustive grade against the reference.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <bit>
 #include <random>
 
 #include "fault/bridging.hpp"
 #include "fault/stuck_at.hpp"
 #include "netlist/generators.hpp"
-#include "netlist/structure.hpp"
-#include "sim/fault_sim.hpp"
 #include "sim/wide_sim.hpp"
+#include "verify/reference_sim.hpp"
 
 namespace dp::sim {
 namespace {
 
 using fault::BridgingFault;
 using fault::StuckAtFault;
-using netlist::Circuit;
 using netlist::GateType;
-using netlist::NetId;
+using verify::ReferenceSimulator;
 
-TEST(PatternSimTest, ExhaustiveInputWordsEnumerateAllVectors) {
-  // Block 0, 6 PIs: lane L must encode vector number L.
-  for (std::size_t pi = 0; pi < 6; ++pi) {
-    const Word w = PatternSimulator::exhaustive_input_word(pi, 0);
-    for (std::uint64_t lane = 0; lane < 64; ++lane) {
-      EXPECT_EQ((w >> lane) & 1, (lane >> pi) & 1);
-    }
-  }
-  // PI >= 6 is constant per block, driven by the block number.
-  EXPECT_EQ(PatternSimulator::exhaustive_input_word(6, 0), 0u);
-  EXPECT_EQ(PatternSimulator::exhaustive_input_word(6, 1), ~Word{0});
-  EXPECT_EQ(PatternSimulator::exhaustive_input_word(7, 2), ~Word{0});
-  EXPECT_EQ(PatternSimulator::exhaustive_input_word(7, 1), 0u);
+std::vector<bool> bits_of(std::uint64_t v, std::size_t n) {
+  std::vector<bool> b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = (v >> i) & 1;
+  return b;
 }
 
-TEST(PatternSimTest, BlockMaskCoversSmallCircuits) {
-  EXPECT_EQ(PatternSimulator::block_mask(0, 3), 0xffu);
-  EXPECT_EQ(PatternSimulator::block_mask(0, 6), ~Word{0});
-  EXPECT_EQ(PatternSimulator::block_mask(5, 20), ~Word{0});
+/// n PIs, each buffered to its own PO.
+Circuit make_buffers(std::size_t n) {
+  Circuit c("buffers");
+  for (std::size_t i = 0; i < n; ++i) {
+    const NetId pi = c.add_input("i" + std::to_string(i));
+    c.mark_output(c.add_gate(GateType::Buf, {pi}, "o" + std::to_string(i)));
+  }
+  c.finalize();
+  return c;
+}
+
+/// One n-input AND gate driving the only PO (a buffer for n = 1).
+Circuit make_and(std::size_t n) {
+  Circuit c("and" + std::to_string(n));
+  std::vector<NetId> pis;
+  for (std::size_t i = 0; i < n; ++i) {
+    pis.push_back(c.add_input("i" + std::to_string(i)));
+  }
+  c.mark_output(c.add_gate(n == 1 ? GateType::Buf : GateType::And, pis, "o"));
+  c.finalize();
+  return c;
+}
+
+/// C17 by hand: vector v drives PIs (1, 2, 3, 6, 7) from bits 0..4.
+struct C17Model {
+  explicit C17Model(std::uint64_t v)
+      : i1(v & 1), i2((v >> 1) & 1), i3((v >> 2) & 1), i6((v >> 3) & 1),
+        i7((v >> 4) & 1) {}
+  bool i1, i2, i3, i6, i7;
+  bool n10 = !(i1 && i3);
+  bool n11 = !(i3 && i6);
+  bool n16 = !(i2 && n11);
+  bool n19 = !(n11 && i7);
+  /// POs 22 = NAND(10, 16) and 23 = NAND(16, 19).
+  static std::vector<bool> outputs(bool n10, bool n16, bool n19) {
+    return {!(n10 && n16), !(n16 && n19)};
+  }
+};
+
+// ---- reference simulator -------------------------------------------------
+
+TEST(PatternSimTest, ExhaustiveInputWordsEnumerateAllVectors) {
+  // Vector v drives PI i with bit i of v, in both exhaustive sweeps: a
+  // stem sa0 on PI i is detected exactly by the vectors with bit i set,
+  // the lowest of them being 2^i. Nine PIs cover the in-word stripes
+  // (PIs 0-5), the word index (PIs 6-7) and the 256-lane block (PI 8).
+  const std::size_t n = 9;
+  const Circuit c = make_buffers(n);
+  const ReferenceSimulator ref(c);
+  std::vector<StuckAtFault> faults;
+  for (std::size_t i = 0; i < n; ++i) {
+    faults.push_back({c.inputs()[i], std::nullopt, false});
+  }
+  WideSimOptions keep;
+  keep.drop_detected = false;
+  const auto grade = WideFaultSimulator(c).grade_exhaustive(faults, keep);
+  ASSERT_EQ(grade.num_patterns, 1u << n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const verify::TestSet tests = ref.test_set(faults[i]);
+    ASSERT_EQ(tests.size, 1u << n);
+    for (std::uint64_t v = 0; v < tests.size; ++v) {
+      ASSERT_EQ(tests.contains(v), ((v >> i) & 1) == 1)
+          << "PI " << i << " vector " << v;
+    }
+    EXPECT_EQ(grade.first_detection[i], 1u << i) << "PI " << i;
+    EXPECT_EQ(grade.detection_counts[i], 1u << (n - 1)) << "PI " << i;
+  }
 }
 
 TEST(PatternSimTest, GateEvaluationMatchesTruthTables) {
   Circuit c("gates");
   NetId a = c.add_input("a");
   NetId b = c.add_input("b");
-  std::vector<std::pair<GateType, Word>> expect = {
+  // Truth tables over vector v = (a, b) = bits (0, 1).
+  const std::vector<std::pair<GateType, unsigned>> expect = {
       {GateType::And, 0x8}, {GateType::Nand, 0x7}, {GateType::Or, 0xe},
       {GateType::Nor, 0x1}, {GateType::Xor, 0x6},  {GateType::Xnor, 0x9}};
-  std::vector<NetId> outs;
-  for (auto& [t, tt] : expect) {
-    outs.push_back(c.add_gate(t, {a, b}, std::string(netlist::to_string(t))));
-    c.mark_output(outs.back());
+  for (const auto& [t, tt] : expect) {
+    c.mark_output(c.add_gate(t, {a, b}, std::string(netlist::to_string(t))));
   }
   c.finalize();
-  PatternSimulator ps(c);
-  std::vector<Word> values(c.num_nets());
-  values[a] = PatternSimulator::exhaustive_input_word(0, 0);
-  values[b] = PatternSimulator::exhaustive_input_word(1, 0);
-  ps.eval(values);
-  for (std::size_t i = 0; i < expect.size(); ++i) {
-    EXPECT_EQ(values[outs[i]] & 0xf, expect[i].second)
-        << netlist::to_string(expect[i].first);
+  const ReferenceSimulator ref(c);
+  for (std::uint64_t v = 0; v < 4; ++v) {
+    const std::vector<bool> out = ref.outputs(bits_of(v, 2));
+    for (std::size_t k = 0; k < expect.size(); ++k) {
+      EXPECT_EQ(out[k], ((expect[k].second >> v) & 1) == 1)
+          << netlist::to_string(expect[k].first) << " vector " << v;
+    }
   }
 }
 
 TEST(FaultSimTest, StemStuckAtForcesNet) {
-  Circuit c = netlist::make_c17();
-  FaultSimulator fs(c);
-  const NetId n16 = *c.find_net("16");
-  StuckAtFault f{n16, std::nullopt, true};
-  std::vector<Word> values(c.num_nets());
-  for (std::size_t i = 0; i < c.num_inputs(); ++i) {
-    values[c.inputs()[i]] = PatternSimulator::exhaustive_input_word(i, 0);
+  const Circuit c = netlist::make_c17();
+  const ReferenceSimulator ref(c);
+  const StuckAtFault f{*c.find_net("16"), std::nullopt, true};
+  for (std::uint64_t v = 0; v < 32; ++v) {
+    const C17Model m(v);
+    EXPECT_EQ(ref.outputs(bits_of(v, 5), f),
+              C17Model::outputs(m.n10, true, m.n19))
+        << "vector " << v;
   }
-  fs.faulty_values(values, f);
-  EXPECT_EQ(values[n16], ~Word{0});
 }
 
 TEST(FaultSimTest, BranchStuckAtLeavesStemClean) {
-  Circuit c = netlist::make_c17();
-  FaultSimulator fs(c);
-  const NetId n11 = *c.find_net("11");
-  const NetId n16 = *c.find_net("16");
-  // Branch 11->16 stuck at 1: net 11 keeps its good value, gate 16 sees 1.
-  StuckAtFault f{n11, netlist::PinRef{n16, 1}, true};
-  std::vector<Word> good(c.num_nets()), bad(c.num_nets());
-  for (std::size_t i = 0; i < c.num_inputs(); ++i) {
-    good[c.inputs()[i]] = bad[c.inputs()[i]] =
-        PatternSimulator::exhaustive_input_word(i, 0);
+  // Branch 11->16 stuck at 1: gate 16 sees 1 on pin 1, so 16 = NOT(2);
+  // net 11 keeps its good value, and so does gate 19, which also reads it.
+  const Circuit c = netlist::make_c17();
+  const ReferenceSimulator ref(c);
+  const StuckAtFault f{*c.find_net("11"),
+                       netlist::PinRef{*c.find_net("16"), 1}, true};
+  for (std::uint64_t v = 0; v < 32; ++v) {
+    const C17Model m(v);
+    EXPECT_EQ(ref.outputs(bits_of(v, 5), f),
+              C17Model::outputs(m.n10, !m.i2, m.n19))
+        << "vector " << v;
   }
-  fs.good_values(good);
-  fs.faulty_values(bad, f);
-  EXPECT_EQ(bad[n11], good[n11]);  // stem unaffected
-  // Gate 19 also reads net 11 and must be unaffected.
-  EXPECT_EQ(bad[*c.find_net("19")], good[*c.find_net("19")]);
-  // Gate 16 = NAND(2, forced 1) == NOT(2).
-  const Word i2 = good[*c.find_net("2")];
-  EXPECT_EQ(bad[n16], ~i2);
 }
 
 TEST(FaultSimTest, AndBridgeWiresBothNets) {
-  Circuit c = netlist::make_c17();
-  FaultSimulator fs(c);
+  const Circuit c = netlist::make_c17();
+  const ReferenceSimulator ref(c);
   const NetId n10 = *c.find_net("10");
   const NetId n19 = *c.find_net("19");
-  BridgingFault f{std::min(n10, n19), std::max(n10, n19),
-                  fault::BridgeType::And};
-  std::vector<Word> good(c.num_nets()), bad(c.num_nets());
-  for (std::size_t i = 0; i < c.num_inputs(); ++i) {
-    good[c.inputs()[i]] = bad[c.inputs()[i]] =
-        PatternSimulator::exhaustive_input_word(i, 0);
+  const BridgingFault f{std::min(n10, n19), std::max(n10, n19),
+                        fault::BridgeType::And};
+  for (std::uint64_t v = 0; v < 32; ++v) {
+    const C17Model m(v);
+    const bool wired = m.n10 && m.n19;
+    EXPECT_EQ(ref.outputs(bits_of(v, 5), f),
+              C17Model::outputs(wired, m.n16, wired))
+        << "vector " << v;
   }
-  fs.good_values(good);
-  fs.faulty_values(bad, f);
-  EXPECT_EQ(bad[n10], good[n10] & good[n19]);
-  EXPECT_EQ(bad[n19], good[n10] & good[n19]);
 }
 
 TEST(FaultSimTest, BridgeConsumersSeeWiredValue) {
@@ -131,145 +170,167 @@ TEST(FaultSimTest, BridgeConsumersSeeWiredValue) {
   c.mark_output(g);
   c.mark_output(h);
   c.finalize();
-  FaultSimulator fs(c);
-  BridgingFault f{a, b, fault::BridgeType::Or};
-  std::vector<Word> values(c.num_nets());
-  values[a] = 0b0011;  // lanes: a = 1 on lanes 0,1
-  values[b] = 0b0101;
-  fs.faulty_values(values, f);
-  const Word wired = 0b0111;
-  EXPECT_EQ(values[g] & 0xf, static_cast<Word>(~wired) & 0xf);
-  EXPECT_EQ(values[h] & 0xf, static_cast<Word>(~wired) & 0xf);
+  const ReferenceSimulator ref(c);
+  const BridgingFault f{a, b, fault::BridgeType::Or};
+  for (std::uint64_t v = 0; v < 4; ++v) {
+    const bool wired = v != 0;
+    EXPECT_EQ(ref.outputs(bits_of(v, 2), f),
+              (std::vector<bool>{!wired, !wired}))
+        << "vector " << v;
+  }
+}
+
+TEST(ReferenceSimTest, FeedbackBridgeThrows) {
+  // Bridging a net with its own consumer closes a loop; the reference
+  // orders bridges by an honest Kahn sort, so it refuses instead of
+  // assuming the bridge is non-feedback.
+  Circuit c("loop");
+  NetId a = c.add_input("a");
+  NetId g = c.add_gate(GateType::Not, {a}, "g");
+  c.mark_output(g);
+  c.finalize();
+  const ReferenceSimulator ref(c);
+  const BridgingFault f{a, g, fault::BridgeType::And};
+  EXPECT_THROW((void)ref.test_set(f), std::logic_error);
+  EXPECT_THROW((void)ref.outputs({true}, f), std::logic_error);
 }
 
 TEST(FaultSimTest, ExhaustiveDetectabilityKnownValues) {
   // Full adder, sum output chain: sa0 on PI "a" (stem).
   // a is XORed into sum: every vector flips sum when a = 1 -> all 4
   // vectors with a = 1 detect via sum. Detectability = 1/2.
-  Circuit c = netlist::make_full_adder();
-  FaultSimulator fs(c);
-  StuckAtFault f{c.inputs()[0], std::nullopt, false};
-  EXPECT_DOUBLE_EQ(fs.exhaustive_detectability(f), 0.5);
+  const Circuit c = netlist::make_full_adder();
+  const ReferenceSimulator ref(c);
+  const StuckAtFault f{c.inputs()[0], std::nullopt, false};
+  EXPECT_DOUBLE_EQ(ref.test_set(f).detectability(), 0.5);
   // sa1 on "a": detected whenever a = 0 -> also 1/2.
-  StuckAtFault f1{c.inputs()[0], std::nullopt, true};
-  EXPECT_DOUBLE_EQ(fs.exhaustive_detectability(f1), 0.5);
+  const StuckAtFault f1{c.inputs()[0], std::nullopt, true};
+  EXPECT_DOUBLE_EQ(ref.test_set(f1).detectability(), 0.5);
 }
 
 TEST(FaultSimTest, ExhaustiveSyndromeKnownValues) {
-  Circuit c = netlist::make_full_adder();
-  FaultSimulator fs(c);
+  const Circuit c = netlist::make_full_adder();
+  const ReferenceSimulator ref(c);
   // sum = a ^ b ^ cin has syndrome 1/2; cout = majority has 1/2.
-  EXPECT_DOUBLE_EQ(fs.exhaustive_syndrome(*c.find_net("sum")), 0.5);
-  EXPECT_DOUBLE_EQ(fs.exhaustive_syndrome(*c.find_net("cout")), 0.5);
+  EXPECT_DOUBLE_EQ(ref.syndrome(*c.find_net("sum")), 0.5);
+  EXPECT_DOUBLE_EQ(ref.syndrome(*c.find_net("cout")), 0.5);
   // ab = a & b has syndrome 1/4.
-  EXPECT_DOUBLE_EQ(fs.exhaustive_syndrome(*c.find_net("ab")), 0.25);
+  EXPECT_DOUBLE_EQ(ref.syndrome(*c.find_net("ab")), 0.25);
 }
 
 TEST(FaultSimTest, ExhaustiveTestSetMatchesDetectability) {
-  Circuit c = netlist::make_c17();
-  FaultSimulator fs(c);
+  // The 64-lane sweep and the one-pattern path must agree: vector v is in
+  // the test set iff some PO differs under v, and the detectability is
+  // the member count over 2^5.
+  const Circuit c = netlist::make_c17();
+  const ReferenceSimulator ref(c);
   for (const auto& f : fault::checkpoint_faults(c)) {
-    const auto tests = fs.exhaustive_test_set(f);
-    std::size_t count = 0;
-    for (bool t : tests) count += t;
-    EXPECT_DOUBLE_EQ(static_cast<double>(count) / 32.0,
-                     fs.exhaustive_detectability(f))
+    const verify::TestSet tests = ref.test_set(f);
+    std::uint64_t count = 0;
+    for (std::uint64_t v = 0; v < 32; ++v) {
+      const bool detects =
+          ref.outputs(bits_of(v, 5)) != ref.outputs(bits_of(v, 5), f);
+      EXPECT_EQ(tests.contains(v), detects) << describe(f, c) << " " << v;
+      count += detects;
+    }
+    EXPECT_DOUBLE_EQ(tests.detectability(), static_cast<double>(count) / 32.0)
         << describe(f, c);
   }
 }
 
 TEST(FaultSimTest, InputLimitEnforced) {
-  Circuit c = netlist::make_c499_analog();  // 41 PIs
-  FaultSimulator fs(c);
-  StuckAtFault f{c.inputs()[0], std::nullopt, false};
-  EXPECT_THROW((void)fs.exhaustive_detectability(f), std::invalid_argument);
+  const Circuit c = netlist::make_c499_analog();  // 41 PIs
+  const ReferenceSimulator ref(c);
+  const StuckAtFault f{c.inputs()[0], std::nullopt, false};
+  EXPECT_THROW((void)ref.test_set(f), std::invalid_argument);
+  EXPECT_THROW((void)ref.syndrome(c.outputs()[0]), std::invalid_argument);
+  EXPECT_THROW((void)WideFaultSimulator(c).grade_exhaustive({f}),
+               std::invalid_argument);
 }
 
+// ---- wide engine grading -------------------------------------------------
+
 TEST(FaultSimTest, RandomGradingDetectsEverythingOnC17) {
-  Circuit c = netlist::make_c17();
-  FaultSimulator fs(c);
+  const Circuit c = netlist::make_c17();
   const auto faults = fault::checkpoint_faults(c);
-  const auto cov = fs.grade_random(faults, 256, 99);
+  const auto grade = WideFaultSimulator(c).grade_random(faults, 256, 99);
   // All C17 checkpoint faults are detectable and easy to hit randomly.
-  EXPECT_EQ(cov.detected, cov.total);
-  EXPECT_DOUBLE_EQ(cov.fraction(), 1.0);
+  EXPECT_EQ(grade.total, faults.size());
+  EXPECT_EQ(grade.detected(), grade.total);
 }
 
 TEST(FaultSimTest, VectorGradingCountsDetections) {
-  Circuit c = netlist::make_c17();
-  FaultSimulator fs(c);
+  const Circuit c = netlist::make_c17();
+  const WideFaultSimulator wide(c);
   const auto faults = fault::checkpoint_faults(c);
   // One all-zeros vector detects some but not all faults.
-  const auto cov1 =
-      fs.grade_vectors(faults, {std::vector<bool>(c.num_inputs(), false)});
-  EXPECT_GT(cov1.detected, 0u);
-  EXPECT_LT(cov1.detected, cov1.total);
+  const auto one =
+      wide.grade_vectors(faults, {std::vector<bool>(c.num_inputs(), false)});
+  EXPECT_GT(one.detected(), 0u);
+  EXPECT_LT(one.detected(), one.total);
   // Exhaustive vector list detects everything.
   std::vector<std::vector<bool>> all;
-  for (std::uint64_t v = 0; v < 32; ++v) {
-    std::vector<bool> in(5);
-    for (int i = 0; i < 5; ++i) in[i] = (v >> i) & 1;
-    all.push_back(in);
-  }
-  const auto cov = fs.grade_vectors(faults, all);
-  EXPECT_EQ(cov.detected, cov.total);
+  for (std::uint64_t v = 0; v < 32; ++v) all.push_back(bits_of(v, 5));
+  EXPECT_EQ(wide.grade_vectors(faults, all).detected(), faults.size());
   // Width mismatch rejected.
-  EXPECT_THROW(fs.grade_vectors(faults, {std::vector<bool>(3, false)}),
+  EXPECT_THROW(wide.grade_vectors(faults, {std::vector<bool>(3, false)}),
                std::invalid_argument);
 }
 
 // ---- ragged-block lane masking ------------------------------------------
-// Pattern counts that are not a multiple of 64 leave a partial word whose
-// upper lanes hold garbage (replicated vectors in the exhaustive sweeps,
-// zero-filled inputs in the graders). These tests pin the masking contract.
+// Pattern counts that are not a multiple of the block width leave lanes
+// that hold garbage (replicated vectors in the exhaustive sweeps,
+// zero-filled inputs in the graders). These tests pin the masking
+// contract.
 
-TEST(FaultSimRaggedTest, BlockMaskPopcountsSumToVectorCount) {
-  for (std::size_t n = 1; n <= 8; ++n) {
-    const std::uint64_t blocks = n > 6 ? (1ull << (n - 6)) : 1;
-    std::uint64_t lanes = 0;
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-      lanes += static_cast<std::uint64_t>(
-          std::popcount(PatternSimulator::block_mask(b, n)));
-    }
-    EXPECT_EQ(lanes, 1ull << n) << "n = " << n;
+TEST(PatternSimTest, BlockMaskCoversSmallCircuits) {
+  // Below 8 inputs the one 256-lane exhaustive block is ragged: an AND's
+  // sa0 is detected only by the all-ones vector, its sa1 by every other
+  // vector, whatever the garbage lanes replicate.
+  for (std::size_t n = 1; n <= 9; ++n) {
+    const Circuit c = make_and(n);
+    const NetId o = c.outputs()[0];
+    WideSimOptions keep;
+    keep.drop_detected = false;
+    const auto grade = WideFaultSimulator(c).grade_exhaustive(
+        {{o, std::nullopt, false}, {o, std::nullopt, true}}, keep);
+    const std::uint64_t all = std::uint64_t{1} << n;
+    EXPECT_EQ(grade.num_patterns, all) << "n = " << n;
+    EXPECT_EQ(grade.detection_counts[0], 1u) << "n = " << n;
+    EXPECT_EQ(grade.first_detection[0], all - 1) << "n = " << n;
+    EXPECT_EQ(grade.detection_counts[1], all - 1) << "n = " << n;
+    EXPECT_EQ(grade.first_detection[1], 0u) << "n = " << n;
   }
 }
 
-TEST(FaultSimRaggedTest, DetectLanesIsUnmaskedByContract) {
-  // detect_lanes reports the raw XOR of the PO words; the *callers* apply
-  // block_mask (or the graders' tail masks). Garbage lanes must show
-  // through here, otherwise the masked sweeps would be double-masking.
-  Circuit c("buf");
-  NetId a = c.add_input("a");
-  NetId o = c.add_gate(GateType::Buf, {a}, "o");
-  c.mark_output(o);
-  c.finalize();
-  FaultSimulator fs(c);
-  std::vector<Word> good(c.num_nets(), 0), faulty(c.num_nets(), 0);
-  good[o] = 0xf0f0f0f0f0f0f0f0ull;
-  faulty[o] = 0x00f0f0f0f0f0f0f0ull;
-  EXPECT_EQ(fs.detect_lanes(good, faulty), 0xf000000000000000ull);
+TEST(FaultSimRaggedTest, BlockMaskPopcountsSumToVectorCount) {
+  // The reference counts every one of the 2^n vectors exactly once: an
+  // output's sa0 and sa1 test sets partition the vector space.
+  for (std::size_t n = 1; n <= 8; ++n) {
+    const Circuit c = make_and(n);
+    const ReferenceSimulator ref(c);
+    const NetId o = c.outputs()[0];
+    const verify::TestSet sa0 = ref.test_set(StuckAtFault{o, std::nullopt, false});
+    const verify::TestSet sa1 = ref.test_set(StuckAtFault{o, std::nullopt, true});
+    EXPECT_EQ(sa0.size, 1u << n) << "n = " << n;
+    EXPECT_EQ(sa0.count() + sa1.count(), 1u << n) << "n = " << n;
+  }
 }
 
 TEST(FaultSimRaggedTest, PartialBlockSweepsIgnoreGarbageLanes) {
   // 3 inputs: only 8 of the 64 lanes are valid, and lanes 8..63 replicate
   // vectors 0..7 under the striped input words. An unmasked sweep would
   // count each detection 8x (detectability 1.0 instead of 1/8).
-  Circuit c("and3");
-  NetId a = c.add_input("a");
-  NetId b = c.add_input("b");
-  NetId d = c.add_input("d");
-  NetId o = c.add_gate(GateType::And, {a, b, d}, "o");
-  c.mark_output(o);
-  c.finalize();
-  FaultSimulator fs(c);
-  StuckAtFault f{o, std::nullopt, false};  // sa0: detected only by 111
-  EXPECT_DOUBLE_EQ(fs.exhaustive_detectability(f), 1.0 / 8.0);
-  EXPECT_DOUBLE_EQ(fs.exhaustive_syndrome(o), 1.0 / 8.0);
-  const auto tests = fs.exhaustive_test_set(f);
-  ASSERT_EQ(tests.size(), 8u);  // 2^n entries, not 64
-  for (std::size_t v = 0; v < tests.size(); ++v) {
-    EXPECT_EQ(tests[v], v == 7u) << "vector " << v;
+  const Circuit c = make_and(3);
+  const ReferenceSimulator ref(c);
+  const NetId o = c.outputs()[0];
+  const StuckAtFault f{o, std::nullopt, false};  // sa0: detected only by 111
+  const verify::TestSet tests = ref.test_set(f);
+  EXPECT_DOUBLE_EQ(tests.detectability(), 1.0 / 8.0);
+  EXPECT_DOUBLE_EQ(ref.syndrome(o), 1.0 / 8.0);
+  ASSERT_EQ(tests.size, 8u);  // 2^n entries, not 64
+  for (std::uint64_t v = 0; v < tests.size; ++v) {
+    EXPECT_EQ(tests.contains(v), v == 7u) << "vector " << v;
   }
 }
 
@@ -277,39 +338,39 @@ TEST(FaultSimRaggedTest, RaggedVectorGradingMasksTailLanes) {
   // o = OR(a, b); sa1 on o is detected only by the all-zero vector --
   // which is exactly what the zero-filled unused tail lanes fake. 63
   // non-detecting vectors must grade as zero detections; a real all-zero
-  // vector in a 1-lane tail block (65 total) must be honoured.
+  // vector in a 1-lane tail word (65 total) must be honoured.
   Circuit c("or2");
   NetId a = c.add_input("a");
   NetId b = c.add_input("b");
   NetId o = c.add_gate(GateType::Or, {a, b}, "o");
   c.mark_output(o);
   c.finalize();
-  FaultSimulator fs(c);
+  const WideFaultSimulator wide(c);
   const std::vector<StuckAtFault> faults = {{o, std::nullopt, true}};
 
   const std::vector<bool> ones(2, true), zeros(2, false);
   std::vector<std::vector<bool>> vectors(63, ones);
-  EXPECT_EQ(fs.grade_vectors(faults, vectors).detected, 0u);
+  EXPECT_EQ(wide.grade_vectors(faults, vectors).detected(), 0u);
 
   vectors.assign(64, ones);
-  vectors.push_back(zeros);  // lane 0 of the second (1-lane) block
-  EXPECT_EQ(fs.grade_vectors(faults, vectors).detected, 1u);
+  vectors.push_back(zeros);  // lane 0 of the second word
+  EXPECT_EQ(wide.grade_vectors(faults, vectors).detected(), 1u);
 }
 
 TEST(FaultSimRaggedTest, RandomGradingHonorsExactPatternCount) {
   // One random pattern must grade exactly lane 0 of the seeded word
   // stream; cross-check against grade_vectors on that reconstructed
   // vector so a mask regression shows up as a count mismatch.
-  Circuit c = netlist::make_c17();
-  FaultSimulator fs(c);
+  const Circuit c = netlist::make_c17();
+  const WideFaultSimulator wide(c);
   const auto faults = fault::checkpoint_faults(c);
   const std::uint64_t seed = 123;
   std::mt19937_64 rng(seed);
   std::vector<bool> lane0(c.num_inputs());
   for (std::size_t i = 0; i < c.num_inputs(); ++i) lane0[i] = rng() & 1;
-  const auto one_random = fs.grade_random(faults, 1, seed);
-  const auto one_vector = fs.grade_vectors(faults, {lane0});
-  EXPECT_EQ(one_random.detected, one_vector.detected);
+  const auto one_random = wide.grade_random(faults, 1, seed);
+  const auto one_vector = wide.grade_vectors(faults, {lane0});
+  EXPECT_EQ(one_random.detected(), one_vector.detected());
   EXPECT_EQ(one_random.total, one_vector.total);
 }
 
@@ -345,16 +406,22 @@ TEST(WideSimTest, RandomGradingMatchesVectorGradingAtRaggedCounts) {
   }
 }
 
+/// The naive per-pattern truth: some PO differs under `pattern`.
+bool reference_detects(const ReferenceSimulator& ref, const StuckAtFault& f,
+                       const std::vector<bool>& pattern) {
+  return ref.outputs(pattern) != ref.outputs(pattern, f);
+}
+
 TEST(WideSimTest, ExactCountsMatchSerialRecountAcrossEngines) {
   // Cross-engine identity for the n-detect contract: with fault dropping
   // off, the wide engine's per-fault detection_counts and first_detection
-  // must equal a naive serial recount (one FaultSimulator grade per
+  // must equal a naive serial recount (one reference simulation per
   // pattern per fault) at counts straddling every lane-masking boundary.
   // The n-detect analytics layer leans on exactly this equality when it
   // cross-checks BDD satcounts against simulator recounts.
   const Circuit c = netlist::make_c17();
   const WideFaultSimulator wide(c);
-  FaultSimulator fs(c);
+  const ReferenceSimulator ref(c);
   const auto faults = fault::checkpoint_faults(c);
   const std::uint64_t seed = 0xc0de;
   WideSimOptions keep;
@@ -369,7 +436,7 @@ TEST(WideSimTest, ExactCountsMatchSerialRecountAcrossEngines) {
       std::uint64_t count = 0;
       std::uint64_t first = WideFaultSimulator::kNotDetected;
       for (std::size_t p = 0; p < n; ++p) {
-        if (fs.grade_vectors({faults[i]}, {stream[p]}).detected == 1) {
+        if (reference_detects(ref, faults[i], stream[p])) {
           if (count == 0) first = p;
           ++count;
         }
@@ -383,11 +450,11 @@ TEST(WideSimTest, ExactCountsMatchSerialRecountAcrossEngines) {
 }
 
 TEST(WideSimTest, FirstDetectionIsEarliestDetectingPattern) {
-  // Cross-check first_detection against the slow truth: grade each
+  // Cross-check first_detection against the slow truth: simulate each
   // reconstructed vector on its own and record the first detecting index.
   const Circuit c = netlist::make_c17();
   const WideFaultSimulator wide(c);
-  FaultSimulator fs(c);
+  const ReferenceSimulator ref(c);
   const auto faults = fault::checkpoint_faults(c);
   const std::size_t n = 40;
   const std::uint64_t seed = 99;
@@ -396,7 +463,7 @@ TEST(WideSimTest, FirstDetectionIsEarliestDetectingPattern) {
   for (std::size_t i = 0; i < faults.size(); ++i) {
     std::uint64_t expected = WideFaultSimulator::kNotDetected;
     for (std::size_t p = 0; p < n; ++p) {
-      if (fs.grade_vectors({faults[i]}, {stream[p]}).detected == 1) {
+      if (reference_detects(ref, faults[i], stream[p])) {
         expected = p;
         break;
       }
@@ -427,7 +494,8 @@ TEST(WideSimTest, FaultDroppingPreservesDetectedSetAndFirstDetection) {
 
 TEST(WideSimTest, BranchFaultOnZeroFaninGateThrows) {
   // A branch fault names a fanin pin; an Input (or Const) gate has none,
-  // so injection must fail loudly instead of indexing pins[0].
+  // so injection must fail loudly instead of indexing pins[0] -- in both
+  // simulators.
   Circuit c("guard");
   NetId a = c.add_input("a");
   NetId b = c.add_input("b");
@@ -437,61 +505,68 @@ TEST(WideSimTest, BranchFaultOnZeroFaninGateThrows) {
   const WideFaultSimulator wide(c);
   const std::vector<StuckAtFault> bad = {{a, netlist::PinRef{a, 0}, true}};
   EXPECT_THROW(wide.grade_random(bad, 64, 1), netlist::NetlistError);
-  FaultSimulator fs(c);
-  std::vector<Word> values(c.num_nets());
-  EXPECT_THROW(fs.faulty_values(values, bad[0]), netlist::NetlistError);
+  EXPECT_THROW(wide.grade_exhaustive(bad), netlist::NetlistError);
+  const ReferenceSimulator ref(c);
+  EXPECT_THROW((void)ref.test_set(bad[0]), netlist::NetlistError);
+  EXPECT_THROW((void)ref.outputs({true, true}, bad[0]), netlist::NetlistError);
+  // A pin past the gate's fanin count is rejected the same way.
+  const StuckAtFault past{a, netlist::PinRef{o, 2}, true};
+  EXPECT_THROW((void)ref.test_set(past), netlist::NetlistError);
+  EXPECT_THROW(wide.grade_exhaustive({past}), netlist::NetlistError);
 }
 
-TEST(FaultSimTest, BridgeOrderIsDeterministicAndReusable) {
-  // The 2^n bridge sweeps now compute the affected topological order once
-  // per fault and reuse it across blocks; repeated queries must agree
-  // with each other, and grading through the cached order must match the
-  // per-call recompute path (the 3-arg faulty_values overload).
-  const Circuit c = netlist::make_c17();
-  const netlist::Structure structure(c);
-  FaultSimulator fs(c);
-  PatternSimulator ps(c);
-  std::vector<Word> base(c.num_nets());
-  for (std::size_t i = 0; i < c.inputs().size(); ++i) {
-    base[c.inputs()[i]] = PatternSimulator::exhaustive_input_word(i, 0);
-  }
-  ps.eval(base);
-  auto bridges = fault::enumerate_nfbfs(c, structure, fault::BridgeType::And);
-  ASSERT_FALSE(bridges.empty());
-  bridges.resize(std::min<std::size_t>(4, bridges.size()));
-  for (const BridgingFault& f : bridges) {
-    const auto order1 = fs.bridge_order(f);
-    const auto order2 = fs.bridge_order(f);
-    EXPECT_EQ(order1, order2);
-    std::vector<Word> via_cached = base;
-    fs.faulty_values(via_cached, f, order1);
-    std::vector<Word> via_fresh = base;
-    fs.faulty_values(via_fresh, f);
-    EXPECT_EQ(via_cached, via_fresh);
+// ---- wide exhaustive grade vs the reference --------------------------------
+
+/// Per fault, the wide 2^n grade (dropping off) must count exactly the
+/// reference test set's members, and its first detection must be the
+/// set's lowest member. Dropping on must keep the first detection.
+void expect_exhaustive_matches_reference(const Circuit& c) {
+  const auto faults = fault::checkpoint_faults(c);
+  const WideFaultSimulator wide(c);
+  const ReferenceSimulator ref(c);
+  WideSimOptions keep;
+  keep.drop_detected = false;
+  const auto kept = wide.grade_exhaustive(faults, keep);
+  const auto dropped = wide.grade_exhaustive(faults);
+  ASSERT_EQ(kept.num_patterns, std::uint64_t{1} << c.num_inputs());
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    const verify::TestSet tests = ref.test_set(faults[i]);
+    std::uint64_t lowest = WideFaultSimulator::kNotDetected;
+    for (std::uint64_t v = 0; v < tests.size; ++v) {
+      if (tests.contains(v)) {
+        lowest = v;
+        break;
+      }
+    }
+    const std::string what = describe(faults[i], c);
+    EXPECT_EQ(kept.detection_counts[i], tests.count()) << what;
+    EXPECT_EQ(kept.first_detection[i], lowest) << what;
+    EXPECT_EQ(dropped.first_detection[i], lowest) << what;
   }
 }
 
-TEST(PatternSimTest, EvalGateWithOverridesGuardsAndOverrides) {
-  // The override evaluator is the single branch-injection path; it must
-  // reject gates with no fanin pins and honour the override on the
-  // addressed pin only.
-  Circuit c("ov");
-  NetId a = c.add_input("a");
-  NetId b = c.add_input("b");
-  NetId o = c.add_gate(GateType::And, {a, b}, "o");
-  c.mark_output(o);
-  c.finalize();
-  PatternSimulator ps(c);
-  std::vector<Word> values(c.num_nets());
-  values[a] = ~Word{0};
-  values[b] = 0;
-  const PatternSimulator::PinOverride force_b1{1, ~Word{0}};
-  EXPECT_EQ(ps.eval_gate_with_overrides(o, values, &force_b1, 1), ~Word{0});
-  const PatternSimulator::PinOverride force_a0{0, Word{0}};
-  EXPECT_EQ(ps.eval_gate_with_overrides(o, values, &force_a0, 1), Word{0});
-  EXPECT_THROW(ps.eval_gate_with_overrides(a, values, &force_b1, 1),
-               netlist::NetlistError);
+class WideExhaustiveSuiteTest : public ::testing::TestWithParam<const char*> {
+};
+
+TEST_P(WideExhaustiveSuiteTest, MatchesReferenceOnEveryCheckpointFault) {
+  expect_exhaustive_matches_reference(netlist::make_benchmark(GetParam()));
 }
+
+INSTANTIATE_TEST_SUITE_P(SmallSuite, WideExhaustiveSuiteTest,
+                         ::testing::Values("c17", "fulladder", "c95",
+                                           "alu181"));
+
+class WideExhaustiveRandomTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WideExhaustiveRandomTest, MatchesReferenceOnEveryCheckpointFault) {
+  // The random DAGs of dp_engine_test's DpVsExhaustiveRandomTest seeds.
+  expect_exhaustive_matches_reference(
+      netlist::make_random_circuit(GetParam(), 9, 40, 5));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WideExhaustiveRandomTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 }  // namespace
 }  // namespace dp::sim

@@ -9,7 +9,8 @@
 #include "dp/engine.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/wide_sim.hpp"
+#include "verify/reference_sim.hpp"
 
 namespace dp {
 namespace {
@@ -19,19 +20,17 @@ TEST(MultiplierStressTest, ParametricMultiplierIsCorrect) {
     netlist::Circuit c = netlist::make_multiplier(bits);
     ASSERT_EQ(c.num_inputs(), static_cast<std::size_t>(2 * bits));
     ASSERT_EQ(c.num_outputs(), static_cast<std::size_t>(2 * bits));
-    sim::PatternSimulator ps(c);
+    const verify::ReferenceSimulator ref(c);
     const std::uint64_t limit = 1ull << (2 * bits);
     for (std::uint64_t v = 0; v < limit; ++v) {
-      std::vector<sim::Word> values(c.num_nets(), 0);
-      for (std::size_t i = 0; i < c.num_inputs(); ++i) {
-        values[c.inputs()[i]] = ((v >> i) & 1) ? ~sim::Word{0} : 0;
-      }
-      ps.eval(values);
+      std::vector<bool> in(c.num_inputs());
+      for (std::size_t i = 0; i < in.size(); ++i) in[i] = (v >> i) & 1;
+      const std::vector<bool> out = ref.outputs(in);
       const std::uint64_t a = v & ((1ull << bits) - 1);
       const std::uint64_t b = v >> bits;
       std::uint64_t got = 0;
-      for (std::size_t i = 0; i < c.num_outputs(); ++i) {
-        got |= (values[c.outputs()[i]] & 1) << i;
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        got |= std::uint64_t{out[i]} << i;
       }
       ASSERT_EQ(got, a * b) << bits << "-bit " << a << "*" << b;
     }
@@ -133,13 +132,15 @@ TEST(RandomPatternTest, CoverageCurveIsMonotoneAndCalibrated) {
 TEST(RandomPatternTest, PredictionMatchesSimulatedGrading) {
   const netlist::Circuit c = netlist::make_c95_analog();
   const analysis::CircuitProfile p = analysis::analyze_stuck_at(c);
-  sim::FaultSimulator fs(c);
+  const sim::WideFaultSimulator wide(c);
   const auto faults = fault::collapse_checkpoint_faults(c);
 
   const double predicted = analysis::expected_random_coverage(p, 128);
   double simulated = 0.0;
   for (int seed = 0; seed < 8; ++seed) {
-    simulated += fs.grade_random(faults, 128, 31 + seed).fraction();
+    const auto grade = wide.grade_random(faults, 128, 31 + seed);
+    simulated += static_cast<double>(grade.detected()) /
+                 static_cast<double>(grade.total);
   }
   simulated /= 8.0;
   EXPECT_NEAR(predicted, simulated, 0.03);

@@ -2,12 +2,10 @@
 // from the symbolic engine, and their relationship to detectability.
 #include <gtest/gtest.h>
 
-#include <bit>
-
 #include "dp/symbolic_sim.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
-#include "sim/fault_sim.hpp"
+#include "verify/reference_sim.hpp"
 
 namespace dp::core {
 namespace {
@@ -88,25 +86,19 @@ TEST(SyndromeTestTest, BalancedFlipEscapesSyndromeTesting) {
 
 TEST(SyndromeTestTest, FaultySyndromesMatchExhaustiveSimulation) {
   Rig rig(netlist::make_c95_analog());
-  sim::FaultSimulator fs(rig.circuit);
+  const verify::ReferenceSimulator ref(rig.circuit);
   const auto faults = fault::collapse_checkpoint_faults(rig.circuit);
+  const std::size_t n = rig.circuit.num_inputs();
   std::size_t checked = 0;
   for (const StuckAtFault& f : faults) {
     const auto st = rig.sym.syndrome_test(f);
     // Brute-force the faulty syndrome of each PO.
-    std::vector<sim::Word> good(rig.circuit.num_nets());
-    std::vector<sim::Word> bad(rig.circuit.num_nets());
     std::vector<std::size_t> ones(rig.circuit.num_outputs(), 0);
-    const std::size_t n = rig.circuit.num_inputs();
-    for (std::uint64_t blk = 0; blk < (1ull << (n - 6)); ++blk) {
-      for (std::size_t i = 0; i < n; ++i) {
-        bad[rig.circuit.inputs()[i]] =
-            sim::PatternSimulator::exhaustive_input_word(i, blk);
-      }
-      fs.faulty_values(bad, f);
-      for (std::size_t p = 0; p < rig.circuit.num_outputs(); ++p) {
-        ones[p] += std::popcount(bad[rig.circuit.outputs()[p]]);
-      }
+    for (std::uint64_t v = 0; v < (1ull << n); ++v) {
+      std::vector<bool> point(n);
+      for (std::size_t i = 0; i < n; ++i) point[i] = (v >> i) & 1;
+      const std::vector<bool> out = ref.outputs(point, f);
+      for (std::size_t p = 0; p < out.size(); ++p) ones[p] += out[p];
     }
     for (std::size_t p = 0; p < rig.circuit.num_outputs(); ++p) {
       ASSERT_DOUBLE_EQ(st.faulty_syndromes[p],
@@ -114,7 +106,6 @@ TEST(SyndromeTestTest, FaultySyndromesMatchExhaustiveSimulation) {
                            static_cast<double>(1ull << n))
           << describe(f, rig.circuit) << " PO " << p;
     }
-    (void)good;
     if (++checked == 30) break;
   }
 }

@@ -5,21 +5,13 @@
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
 #include "netlist/testpoints.hpp"
-#include "sim/pattern_sim.hpp"
+#include "verify/reference_sim.hpp"
 
 namespace dp::netlist {
 namespace {
 
 std::vector<bool> run(const Circuit& c, const std::vector<bool>& in) {
-  sim::PatternSimulator ps(c);
-  std::vector<sim::Word> values(c.num_nets(), 0);
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    values[c.inputs()[i]] = in[i] ? ~sim::Word{0} : 0;
-  }
-  ps.eval(values);
-  std::vector<bool> out;
-  for (NetId po : c.outputs()) out.push_back(values[po] & 1);
-  return out;
+  return verify::ReferenceSimulator(c).outputs(in);
 }
 
 TEST(ObservationPointsTest, AddsPosWithoutChangingFunctions) {
