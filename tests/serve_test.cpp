@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -214,8 +215,18 @@ TEST(ServiceTest, NonPositiveBridgeThetaIsABadRequest) {
 
 /// An option that does not apply to the request's model is rejected,
 /// naming the key, instead of being ignored yet folded into the cache key.
+struct NonApplicableCase {
+  const char* options;
+  const char* key;
+  // Prints the key rather than the two pointers, so the test names that
+  // discovery registers are the same on every run.
+  friend void PrintTo(const NonApplicableCase& c, std::ostream* os) {
+    *os << c.key;
+  }
+};
+
 class NonApplicableOptionTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<NonApplicableCase> {};
 
 TEST_P(NonApplicableOptionTest, IsABadRequestNamingTheKey) {
   const auto& [options, key] = GetParam();
@@ -235,10 +246,13 @@ TEST_P(NonApplicableOptionTest, IsABadRequestNamingTheKey) {
 INSTANTIATE_TEST_SUITE_P(
     Analyze, NonApplicableOptionTest,
     ::testing::Values(
-        std::pair{R"({"model": "sa", "bridge_count": 5})", "bridge_count"},
-        std::pair{R"({"model": "bf.or", "collapse": false})", "collapse"},
-        std::pair{R"({"model": "hybrid", "persist": false})", "persist"}),
-    [](const auto& info) { return std::string(info.param.second); });
+        NonApplicableCase{R"({"model": "sa", "bridge_count": 5})",
+                          "bridge_count"},
+        NonApplicableCase{R"({"model": "bf.or", "collapse": false})",
+                          "collapse"},
+        NonApplicableCase{R"({"model": "hybrid", "persist": false})",
+                          "persist"}),
+    [](const auto& info) { return std::string(info.param.key); });
 
 TEST(ServiceTest, DefaultOptionRequestsKeepTheirCacheKeys) {
   // The keys c17 analyze requests with default options have always had;
